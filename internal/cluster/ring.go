@@ -26,10 +26,10 @@ import (
 // Ring assigns database names to slots by consistent hashing. Each slot
 // is projected onto the ring as a number of virtual points; a name is
 // owned by the slot whose point follows the name's hash clockwise.
-// Construction is deterministic: positions come from a seeded FNV-1a
-// hash (no randomness, no map iteration), so every front tier built from
-// the same (slots, vnodes, seed) triple routes identically — the
-// property the whole placement scheme rests on.
+// Construction is deterministic: positions come from a seeded, finalized
+// FNV-1a hash (no randomness, no map iteration), so every front tier
+// built from the same (slots, vnodes, seed) triple routes identically —
+// the property the whole placement scheme rests on.
 type Ring struct {
 	seed   uint64
 	slots  int
@@ -84,14 +84,29 @@ func (r *Ring) Owner(name string) int {
 	return r.points[i].slot
 }
 
-// hash is seeded FNV-1a: the seed bytes are folded in before the label,
-// so different seeds produce independent ring geometries while staying
-// fully deterministic across processes and runs.
+// hash is seeded FNV-1a with a 64-bit finalizer: the seed bytes are
+// folded in before the label, so different seeds produce independent
+// ring geometries while staying fully deterministic across processes and
+// runs. FNV-1a alone barely mixes its last input bytes into the high
+// bits that order the ring, so names differing only in a trailing digit
+// ("db-000" … "db-099") hash next to each other and land on one slot; the
+// finalizer (MurmurHash3's fmix64) spreads every input bit over the whole
+// word.
 func (r *Ring) hash(b []byte) uint64 {
 	h := fnv.New64a()
 	var seed [8]byte
 	binary.LittleEndian.PutUint64(seed[:], r.seed)
 	h.Write(seed[:])
 	h.Write(b)
-	return h.Sum64()
+	return fmix64(h.Sum64())
+}
+
+// fmix64 is MurmurHash3's 64-bit avalanche finalizer.
+func fmix64(k uint64) uint64 {
+	k ^= k >> 33
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	k *= 0xc4ceb93e53fe1a85
+	k ^= k >> 33
+	return k
 }

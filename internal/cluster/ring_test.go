@@ -62,6 +62,30 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
+func TestRingBalancesSequentialNames(t *testing.T) {
+	// Deployments name databases db-000, db-001, … (loadgen.Spawn does),
+	// names that differ only in their last bytes. With the default seed
+	// and vnode count, no slot of a 2-, 3- or 4-slot ring may own more
+	// than twice or less than half its fair share of 100 such names.
+	names := make([]string, 100)
+	for i := range names {
+		names[i] = fmt.Sprintf("db-%03d", i)
+	}
+	for _, slots := range []int{2, 3, 4} {
+		r := NewRing(slots, 0, 0)
+		counts := make([]int, slots)
+		for _, name := range names {
+			counts[r.Owner(name)]++
+		}
+		fair := len(names) / slots
+		for slot, c := range counts {
+			if c < fair/2 || c > 2*fair {
+				t.Errorf("%d slots: slot %d owns %d of %d names: %v", slots, slot, c, len(names), counts)
+			}
+		}
+	}
+}
+
 func TestRingConsistency(t *testing.T) {
 	// The consistent-hashing contract: growing the ring by one slot only
 	// moves names onto the new slot — no name shuffles between surviving

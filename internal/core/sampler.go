@@ -23,8 +23,9 @@ type Config struct {
 	// InitialModel supplies the first query term, drawn at random from its
 	// eligible vocabulary. The paper always drew the first term from the
 	// actual TREC-123 model (§4.4) and found the choice immaterial.
-	// Exactly one of InitialModel and InitialTerm must be set.
-	InitialModel *langmodel.Model
+	// Exactly one of InitialModel and InitialTerm must be set; a nil
+	// *langmodel.Model counts as unset.
+	InitialModel Vocabulary
 	// InitialTerm fixes the first query term explicitly.
 	InitialTerm string
 	// Analyzer is the pipeline applied to sampled documents when updating
@@ -80,6 +81,9 @@ func DefaultConfig(initial *langmodel.Model, docs int, seed uint64) Config {
 }
 
 func (c *Config) validate(resuming bool) error {
+	if m, ok := c.InitialModel.(*langmodel.Model); ok && m == nil {
+		c.InitialModel = nil // a typed nil must not read as "set"
+	}
 	if c.DocsPerQuery <= 0 {
 		return errors.New("core: DocsPerQuery must be positive")
 	}

@@ -380,11 +380,27 @@ func TestSampleConfigValidation(t *testing.T) {
 		{DocsPerQuery: 4, Selector: RandomLLM{}, InitialModel: actual},
 		{DocsPerQuery: 4, Selector: RandomLLM{}, Stop: StopAfterDocs(10),
 			InitialModel: actual, InitialTerm: "also-set"},
+		DefaultConfig(nil, 10, 1), // a typed-nil *Model is no initial model
 	}
 	for i, cfg := range bad {
 		if _, err := Sample(ix, cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
+	}
+}
+
+func TestSampleTypedNilInitialModelIsUnset(t *testing.T) {
+	// A nil *langmodel.Model stored in the InitialModel interface is not
+	// a nil interface; beside an explicit initial term it must still read
+	// as unset rather than as a second initial source.
+	ix, actual := testDB(t, 50)
+	cfg := DefaultConfig(nil, 10, 1)
+	cfg.InitialTerm = actual.TopTerms(langmodel.ByDF, 1)[0]
+	if _, err := Sample(ix, cfg); err != nil {
+		t.Errorf("nil *Model beside an explicit initial term rejected: %v", err)
+	}
+	if _, ok := (RandomOLM{}).Next(actual, map[string]bool{}, randx.New(1)); ok {
+		t.Error("RandomOLM with no reference model offered a term")
 	}
 }
 

@@ -17,6 +17,15 @@ type TermSelector interface {
 	Next(learned *langmodel.Model, used map[string]bool, rng *randx.Source) (term string, ok bool)
 }
 
+// Vocabulary is an indexable term list a query term can be drawn from
+// uniformly at random. *langmodel.Model satisfies it (in first-seen
+// order); so does any fixed list, such as the sorted union of learned
+// vocabularies a selection service keeps.
+type Vocabulary interface {
+	VocabSize() int
+	TermAt(i int) string
+}
+
 // Eligible implements the paper's query-term requirements (§4.4): a term
 // "could not be a number and was required to be 3 or more characters
 // long". Terms already issued as queries are also ineligible — re-running
@@ -56,6 +65,9 @@ func (s RandomOLM) Name() string { return "random-olm" }
 
 // Next implements TermSelector.
 func (s RandomOLM) Next(_ *langmodel.Model, used map[string]bool, rng *randx.Source) (string, bool) {
+	if s.Other == nil {
+		return "", false
+	}
 	return randomEligible(s.Other, used, rng)
 }
 
@@ -98,11 +110,12 @@ func metricValue(m langmodel.RankMetric, st langmodel.TermStats) float64 {
 	}
 }
 
-// randomEligible draws a uniform random eligible term from the model.
+// randomEligible draws a uniform random eligible term from the
+// vocabulary.
 // Rejection sampling over the model's insertion-ordered vocabulary keeps
 // draws O(1) in the common case, with a linear fallback so exhaustion
 // terminates. Both paths are deterministic for a given rng state.
-func randomEligible(m *langmodel.Model, used map[string]bool, rng *randx.Source) (string, bool) {
+func randomEligible(m Vocabulary, used map[string]bool, rng *randx.Source) (string, bool) {
 	if m == nil || m.VocabSize() == 0 {
 		return "", false
 	}

@@ -22,8 +22,16 @@ import (
 
 var binaryMagic = []byte("QBLM1")
 
-// maxBinaryTerms bounds decoding allocations against corrupt headers.
+// maxBinaryTerms rejects term counts no real model reaches.
 const maxBinaryTerms = 1 << 28
+
+// maxPresizeTerms caps how many terms ReadBinary allocates room for up
+// front on the header's word alone: a real model's vocabulary fits in one
+// allocation, while a corrupt or hostile header claiming up to
+// maxBinaryTerms terms costs at most a few hundred kilobytes before the
+// truncated body fails the read. Larger models grow past the hint as
+// their terms actually arrive.
+const maxPresizeTerms = 1 << 12
 
 // WriteBinary serializes the model in the compact binary format.
 func (m *Model) WriteBinary(w io.Writer) (int64, error) {
@@ -87,8 +95,12 @@ func ReadBinary(r io.Reader) (*Model, error) {
 	if nterms > maxBinaryTerms {
 		return nil, fmt.Errorf("langmodel: implausible term count %d", nterms)
 	}
-	m := New()
-	m.docs = int(docs)
+	hint := int(min(nterms, maxPresizeTerms))
+	m := &Model{
+		terms: make(map[string]TermStats, hint),
+		order: make([]string, 0, hint),
+		docs:  int(docs),
+	}
 	var nameBuf []byte
 	for i := uint64(0); i < nterms; i++ {
 		l, err := binary.ReadUvarint(br)
@@ -113,11 +125,16 @@ func ReadBinary(r io.Reader) (*Model, error) {
 		if err != nil {
 			return nil, fmt.Errorf("langmodel: term %d ctf: %w", i, err)
 		}
+		// One allocation (the term, which the model owns outright) and one
+		// map probe per term: a duplicate is the insert that does not grow
+		// the map.
 		term := string(nameBuf)
-		if m.Contains(term) {
+		before := len(m.terms)
+		m.terms[term] = TermStats{DF: int(df), CTF: int64(ctf)}
+		if len(m.terms) == before {
 			return nil, fmt.Errorf("langmodel: duplicate term %q", term)
 		}
-		m.bump(term, int(df), int64(ctf))
+		m.order = append(m.order, term)
 		m.totalCTF += int64(ctf)
 	}
 	return m, nil

@@ -2,6 +2,8 @@ package langmodel
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -118,6 +120,36 @@ func TestBinaryQuickRoundTrip(t *testing.T) {
 	}
 }
 
+// hostileHeader is a 20-byte payload whose header claims 2^28 terms — the
+// most maxBinaryTerms admits — followed by one complete term and then
+// nothing.
+func hostileHeader() []byte {
+	b := append([]byte("QBLM1"), 1)             // magic, docs
+	b = binary.AppendUvarint(b, maxBinaryTerms) // term count
+	b = append(b, 3, 'a', 'b', 'c', 1, 1)       // one term
+	return append(b, 9, 'x', 'y')               // truncated second term
+}
+
+// TestBinaryHostileHeaderFailsCheaply keeps presizing from becoming a
+// memory-exhaustion vector: decoding must fail on the truncated body
+// having allocated well under a megabyte, whatever the header claimed.
+func TestBinaryHostileHeaderFailsCheaply(t *testing.T) {
+	data := hostileHeader()
+	if len(data) > 24 {
+		t.Fatalf("hostile payload is %d bytes; keep it tiny", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBinary(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated payload claiming 2^28 terms accepted")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("decoding a %d-byte hostile header allocated %d bytes; want < 1 MiB", len(data), alloc)
+	}
+}
+
 func FuzzReadBinary(f *testing.F) {
 	m := docModel("seed words here", "more seed text")
 	var buf bytes.Buffer
@@ -127,6 +159,7 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("QBLM1"))
 	f.Add([]byte{})
+	f.Add(hostileHeader())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {

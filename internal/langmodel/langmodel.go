@@ -5,11 +5,10 @@
 // algorithms need (§2.1, §4.1).
 //
 // The same type serves as the *actual* language model (built from a full
-// database index), the *learned* language model (built incrementally from
-// sampled documents), and the *union of samples* used for query expansion
-// (§8).
+// database index) and the *learned* language model (built incrementally
+// from sampled documents).
 //
-// A Model is either *live* (mutable, built by AddDocument/AddTerm/Merge)
+// A Model is either *live* (mutable, built by AddDocument/AddTerm)
 // or *frozen* (an immutable snapshot taken with Snapshot). Snapshots are
 // copy-on-write: internally a model may be a small overlay of recent
 // changes on top of a chain of frozen base layers, so taking a snapshot
@@ -272,18 +271,6 @@ func (m *Model) flatten() *Model {
 // Clone returns a deep, flat, mutable copy.
 func (m *Model) Clone() *Model {
 	return m.flatten()
-}
-
-// Merge folds other into m (vocabulary union, summed statistics, summed
-// document counts). The union of per-database samples that §8 uses for
-// query expansion is built this way.
-func (m *Model) Merge(other *Model) {
-	other.Range(func(t string, st TermStats) bool {
-		m.bump(t, st.DF, st.CTF)
-		return true
-	})
-	m.docs += other.docs
-	m.totalCTF += other.totalCTF
 }
 
 // String summarizes the model for logs.

@@ -85,21 +85,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := docModel("x x y")
-	b := docModel("y z")
-	a.Merge(b)
-	if a.Docs() != 2 {
-		t.Errorf("docs = %d, want 2", a.Docs())
-	}
-	if a.DF("y") != 2 || a.CTF("x") != 2 || a.DF("z") != 1 {
-		t.Errorf("merge stats wrong: %v", a)
-	}
-	if a.TotalCTF() != 5 {
-		t.Errorf("totalCTF = %d, want 5", a.TotalCTF())
-	}
-}
-
 func TestAddTerm(t *testing.T) {
 	m := New()
 	m.AddTerm("apple", TermStats{DF: 1000, CTF: 2000})
@@ -349,25 +334,6 @@ func TestSortedStatsOrdered(t *testing.T) {
 	st := m.sortedStats()
 	if len(st) != 3 || st[0].Term != "a" || st[2].Term != "c" {
 		t.Errorf("sortedStats = %v", st)
-	}
-}
-
-func TestMergePreservesTotals(t *testing.T) {
-	// Property: after merging, totalCTF equals the sum of per-term CTFs.
-	if err := quick.Check(func(na, nb uint8) bool {
-		a, b := New(), New()
-		for i := 0; i < int(na%10)+1; i++ {
-			a.AddDocument([]string{term(i), term(i + 1)})
-		}
-		for i := 0; i < int(nb%10)+1; i++ {
-			b.AddDocument([]string{term(i + 5)})
-		}
-		a.Merge(b)
-		var sum int64
-		a.Range(func(_ string, st TermStats) bool { sum += st.CTF; return true })
-		return sum == a.TotalCTF()
-	}, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

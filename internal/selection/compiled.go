@@ -61,35 +61,45 @@ type Compiled struct {
 // database i in every scoring call is models[i]. Terms are interned in
 // first-encounter order (model order, then each model's insertion order),
 // which is deterministic for deterministic inputs.
+//
+// One Range pass over the models interns terms and records each posting's
+// term id and df in flat slices sized to the total posting count; a
+// counting sort over the term ids then lays out the CSR rows. Models are
+// scattered in index order, so every row lists its databases ascending.
 func Compile(models []*langmodel.Model) *Compiled {
 	n := len(models)
-	c := &Compiled{
-		n:    n,
-		ids:  make(map[string]int32),
-		docs: make([]float64, n),
-		cw:   make([]float64, n),
+	postings, widest := 0, 0
+	for _, m := range models {
+		postings += m.VocabSize()
+		widest = max(widest, m.VocabSize())
 	}
-	var (
-		perTermDB [][]int32
-		perTermDF [][]float64
-		postings  int
-	)
+	// The union vocabulary is at least the widest model's, and usually not
+	// much more: presizing the dictionary to it skips the early rehashes
+	// without reserving room for every posting.
+	c := &Compiled{
+		n:     n,
+		ids:   make(map[string]int32, widest),
+		terms: make([]string, 0, widest),
+		docs:  make([]float64, n),
+		cw:    make([]float64, n),
+	}
+	flatTerm := make([]int32, 0, postings)
+	flatDF := make([]float64, 0, postings)
+	var rowLen []int32
 	for i, m := range models {
 		c.docs[i] = float64(m.Docs())
 		c.cw[i] = float64(m.TotalCTF())
-		db := int32(i)
 		m.Range(func(t string, st langmodel.TermStats) bool {
 			id, ok := c.ids[t]
 			if !ok {
-				id = int32(len(perTermDB))
+				id = int32(len(c.terms))
 				c.ids[t] = id
 				c.terms = append(c.terms, t)
-				perTermDB = append(perTermDB, nil)
-				perTermDF = append(perTermDF, nil)
+				rowLen = append(rowLen, 0)
 			}
-			perTermDB[id] = append(perTermDB[id], db)
-			perTermDF[id] = append(perTermDF[id], float64(st.DF))
-			postings++
+			rowLen[id]++
+			flatTerm = append(flatTerm, id)
+			flatDF = append(flatDF, float64(st.DF))
 			return true
 		})
 	}
@@ -111,23 +121,31 @@ func Compile(models []*langmodel.Model) *Compiled {
 	// contains the term — the posting count, never zero for interned terms.
 	// Query terms outside the dictionary score with idf 0, exactly as the
 	// map-based path treats a term no model contains.
-	terms := len(perTermDB)
+	terms := len(c.terms)
 	c.idf = make([]float64, terms)
-	for id := 0; id < terms; id++ {
-		cf := len(perTermDB[id])
+	for id, cf := range rowLen {
 		c.idf[id] = math.Log((float64(n)+0.5)/float64(cf)) / math.Log(float64(n)+1.0)
 	}
 
-	// Flatten to CSR.
+	// Counting sort into CSR: prefix-sum the row lengths into row starts,
+	// then scatter the postings, reusing rowLen as each row's fill cursor.
 	c.postStart = make([]int32, terms+1)
-	c.postDB = make([]int32, 0, postings)
-	c.postDF = make([]float64, 0, postings)
-	for id := 0; id < terms; id++ {
-		c.postStart[id] = int32(len(c.postDB))
-		c.postDB = append(c.postDB, perTermDB[id]...)
-		c.postDF = append(c.postDF, perTermDF[id]...)
+	for id, l := range rowLen {
+		c.postStart[id+1] = c.postStart[id] + l
+		rowLen[id] = c.postStart[id]
 	}
-	c.postStart[terms] = int32(len(c.postDB))
+	c.postDB = make([]int32, postings)
+	c.postDF = make([]float64, postings)
+	k := 0
+	for i, m := range models {
+		for end := k + m.VocabSize(); k < end; k++ {
+			id := flatTerm[k]
+			pos := rowLen[id]
+			c.postDB[pos] = int32(i)
+			c.postDF[pos] = flatDF[k]
+			rowLen[id]++
+		}
+	}
 	return c
 }
 

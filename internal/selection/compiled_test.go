@@ -193,3 +193,38 @@ func TestGlossThresholdZeroesWeakEvidence(t *testing.T) {
 		t.Errorf("db 1 score = %v, want 0 (below threshold)", scores[1])
 	}
 }
+
+// TestCompileAllocsFlatInVocabulary pins Compile's one-pass build: its
+// allocations are a fixed set of flat slices plus the dictionary map,
+// whose tables Go allocates in groups of up to 1024 slots. Growing the
+// federation tenfold (10 → 100 models, each with 300 shared and 50 private
+// terms) therefore adds far fewer than one allocation per added posting;
+// per-term posting slices would add several per term.
+func TestCompileAllocsFlatInVocabulary(t *testing.T) {
+	federation := func(n int) ([]*langmodel.Model, int) {
+		models := make([]*langmodel.Model, n)
+		postings := 0
+		for i := range models {
+			m := langmodel.New()
+			m.SetDocs(100)
+			for j := 0; j < 300; j++ {
+				m.AddTerm(fmt.Sprintf("s%03d", j), langmodel.TermStats{DF: 1 + j%7, CTF: 2})
+				if j%6 == 0 {
+					m.AddTerm(fmt.Sprintf("p%03d-%03d", i, j), langmodel.TermStats{DF: 1, CTF: 1})
+				}
+			}
+			models[i] = m
+			postings += m.VocabSize()
+		}
+		return models, postings
+	}
+	small, smallPostings := federation(10)
+	large, largePostings := federation(100)
+	smallAllocs := testing.AllocsPerRun(5, func() { Compile(small) })
+	largeAllocs := testing.AllocsPerRun(5, func() { Compile(large) })
+	added := float64(largePostings - smallPostings)
+	if growth := largeAllocs - smallAllocs; growth > added/256 {
+		t.Errorf("Compile allocations grew from %.0f to %.0f for %.0f added postings; want under one per 256 postings",
+			smallAllocs, largeAllocs, added)
+	}
+}

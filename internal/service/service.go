@@ -166,6 +166,18 @@ type Service struct {
 	dialOpts  netsearch.Options
 	tripAfter int
 
+	// The union of every served model's vocabulary, the pool the first
+	// query term of each sampling run is drawn from (initialModel),
+	// guarded by mu. vocabRefs counts, per term, the served models that
+	// contain it; vocab lists those terms sorted. vocab is replaced, never
+	// modified, so a reader may keep the slice after unlocking. vocabJoins
+	// queues the persisted models registrations brought in: a restart
+	// registers every stored model and may never sample, so they are
+	// counted in by the next sampling run or model change instead.
+	vocabRefs  map[string]int32
+	vocab      []string
+	vocabJoins []*langmodel.Model
+
 	// Query-serving state (snapshot.go, cache.go): gen counts model-set
 	// generations (bumped under mu whenever served models change), snap is
 	// the RCU-published compiled snapshot, compileMu single-flights
@@ -217,6 +229,7 @@ func New(an analysis.Analyzer, st *store.Store) *Service {
 		logger:    telemetry.NopLogger(),
 		traces:    telemetry.NewTraceIDs("req"),
 		entries:   make(map[string]*entry),
+		vocabRefs: make(map[string]int32),
 		tripAfter: DefaultTripThreshold,
 		coal:      newCoalescer(),
 	}
@@ -325,6 +338,7 @@ func (s *Service) Register(name, addr string) error {
 	}
 	s.entries[name] = e
 	if e.model != nil {
+		s.vocabJoins = append(s.vocabJoins, e.model)
 		s.invalidateAll() // a persisted model joined the served set
 	}
 	return nil
@@ -359,6 +373,7 @@ func (s *Service) RegisterLocal(name string, db core.Database) error {
 	}
 	s.entries[name] = e
 	if e.model != nil {
+		s.vocabJoins = append(s.vocabJoins, e.model)
 		s.invalidateAll()
 	}
 	return nil
@@ -395,6 +410,7 @@ func (s *Service) Unregister(name string) error {
 	}
 	delete(s.entries, name)
 	if e.model != nil {
+		s.swapVocab(e.model, nil)
 		s.invalidateAll() // its model left the served set
 	}
 	st := s.st
@@ -452,25 +468,105 @@ func (s *Service) connect(e *entry) (core.Database, error) {
 	return client, nil
 }
 
-// initialModel builds the model the first query term is drawn from: the
-// union of everything the service has already learned, or a tiny built-in
-// model of very common words when nothing is known yet.
-func (s *Service) initialModel() *langmodel.Model {
-	union := langmodel.New()
-	for _, e := range s.entries {
-		if e.model != nil {
-			union.Merge(e.model)
+// termList is a fixed vocabulary for core.Config.InitialModel.
+type termList []string
+
+func (l termList) VocabSize() int      { return len(l) }
+func (l termList) TermAt(i int) string { return l[i] }
+
+// seedTerms are very common words, the first-term pool before the service
+// has learned anything.
+var seedTerms = termList{
+	"the", "and", "for", "that", "with", "this", "from", "have",
+	"new", "time", "year", "people", "world", "data", "system",
+}
+
+// initialModel returns the vocabulary the first query term is drawn
+// from: the sorted union of everything the service has learned, or
+// seedTerms when nothing is known yet, counting in any models queued by
+// registration first. Sorting makes the draw a function of the learned
+// models alone, so services that learned the same models issue the same
+// queries for the same seed.
+func (s *Service) initialModel() core.Vocabulary {
+	s.mu.RLock()
+	vocab, queued := s.vocab, len(s.vocabJoins) > 0
+	s.mu.RUnlock()
+	if queued {
+		s.mu.Lock()
+		s.swapVocab(nil, nil)
+		vocab = s.vocab
+		s.mu.Unlock()
+	}
+	if len(vocab) == 0 {
+		return seedTerms
+	}
+	return termList(vocab)
+}
+
+// swapVocab moves the served-vocabulary union from a set containing old
+// to one containing next instead, counting in the queued vocabJoins too;
+// old and next may each be nil, for a model joining or leaving the
+// served set or for just draining the queue. It costs one
+// reference-count update per term of the models involved, plus one
+// merge pass over the union when terms enter or leave it. Caller holds
+// mu (write).
+func (s *Service) swapVocab(old, next *langmodel.Model) {
+	var added, removed []string
+	// Count the joining models in before counting old out, so a term both
+	// contain never drops to zero in between. An increment that grows the
+	// map is a term entering the union: one map probe per term.
+	join := func(m *langmodel.Model) {
+		for i := range m.VocabSize() {
+			t := m.TermAt(i)
+			before := len(s.vocabRefs)
+			s.vocabRefs[t]++
+			if len(s.vocabRefs) > before {
+				added = append(added, t)
+			}
 		}
 	}
-	if union.VocabSize() > 0 {
-		return union
+	for _, m := range s.vocabJoins {
+		if m == old {
+			old = nil // never counted in, so nothing to count out
+			continue
+		}
+		join(m)
 	}
-	seedWords := []string{
-		"the", "and", "for", "that", "with", "this", "from", "have",
-		"new", "time", "year", "people", "world", "data", "system",
+	s.vocabJoins = nil
+	if next != nil {
+		join(next)
 	}
-	union.AddDocument(seedWords)
-	return union
+	if old != nil {
+		for i := range old.VocabSize() {
+			t := old.TermAt(i)
+			if n := s.vocabRefs[t]; n > 1 {
+				s.vocabRefs[t] = n - 1
+			} else {
+				delete(s.vocabRefs, t)
+				removed = append(removed, t)
+			}
+		}
+	}
+	if len(added) == 0 && len(removed) == 0 {
+		return
+	}
+	sort.Strings(added)
+	sort.Strings(removed)
+	// Merge the old union, minus removed, with added. All three lists are
+	// sorted, removed is a subset of s.vocab, and added is disjoint from it.
+	vocab := make([]string, 0, len(s.vocab)+len(added)-len(removed))
+	for _, t := range s.vocab {
+		if len(removed) > 0 && removed[0] == t {
+			removed = removed[1:]
+			continue
+		}
+		for len(added) > 0 && added[0] < t {
+			vocab = append(vocab, added[0])
+			added = added[1:]
+		}
+		vocab = append(vocab, t)
+	}
+	s.vocab = append(vocab, added...)
 }
 
 // recordFailure updates an entry's health counters after a failed connect
@@ -539,10 +635,10 @@ func (s *Service) Sample(name string, opts SampleOptions) (DBStatus, error) {
 		c.SetTrace(opts.TraceID)
 		defer c.SetTrace("")
 	}
-	s.mu.Lock()
 	initial := s.initialModel()
+	s.mu.RLock()
 	prev := e.lastRun
-	s.mu.Unlock()
+	s.mu.RUnlock()
 
 	cfg := core.Config{
 		DocsPerQuery: opts.PerQuery,
@@ -583,6 +679,11 @@ func (s *Service) Sample(name string, opts SampleOptions) (DBStatus, error) {
 	model := res.Learned.Normalize(s.analyzer) // CPU-heavy; keep outside the lock
 	s.mu.Lock()
 	hadModel := e.model != nil
+	if s.entries[name] == e {
+		// Only a model the registry still serves joins the union; an entry
+		// unregistered mid-run already left it.
+		s.swapVocab(e.model, model)
+	}
 	e.model = model
 	if hadModel {
 		// A resample replaced one model in place: the next rebuild may

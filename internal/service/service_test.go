@@ -3,9 +3,14 @@ package service
 import (
 	"errors"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/experiments"
 	"repro/internal/index"
@@ -299,6 +304,166 @@ func TestSampleExtendGrowsSample(t *testing.T) {
 	}
 	if fresh.SampledDocs == 0 {
 		t.Error("extend-without-prev sampled nothing")
+	}
+}
+
+// TestSamplingDeterministicAcrossServices pins what replica convergence
+// in a cluster rests on: fresh services that learn the same databases
+// with the same seeds issue the same queries and learn byte-identical
+// models. The third run draws its first query term from the union of the
+// two models learned before it, so that union's order must not depend
+// on map iteration.
+func TestSamplingDeterministicAcrossServices(t *testing.T) {
+	type outcome struct {
+		queries [][]string
+		prints  []uint64
+	}
+	run := func() outcome {
+		svc, dbs := fixture(t, nil)
+		var o outcome
+		for i, db := range dbs {
+			if _, err := svc.Sample(db.Name, SampleOptions{Docs: 40, Seed: uint64(11 + i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, db := range dbs {
+			e := svc.entries[db.Name]
+			o.queries = append(o.queries, e.lastRun.QueryTerms)
+			o.prints = append(o.prints, e.model.Fingerprint())
+		}
+		return o
+	}
+	want := run()
+	for i := 1; i < 8; i++ {
+		got := run()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("service %d diverged from service 0:\n got %v\nwant %v", i, got, want)
+		}
+	}
+}
+
+// checkServedVocabulary compares the reference-counted union against a
+// from-scratch one.
+func checkServedVocabulary(t *testing.T, svc *Service, stage string) {
+	t.Helper()
+	union := map[string]bool{}
+	svc.mu.RLock()
+	for _, e := range svc.entries {
+		if e.model != nil {
+			for _, term := range e.model.Vocabulary() {
+				union[term] = true
+			}
+		}
+	}
+	svc.mu.RUnlock()
+	want := make([]string, 0, len(union))
+	for term := range union {
+		want = append(want, term)
+	}
+	sort.Strings(want)
+	got := []string(nil)
+	if len(want) > 0 {
+		got = []string(svc.initialModel().(termList))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: served vocabulary has %d terms, want %d", stage, len(got), len(want))
+	}
+	if len(svc.vocabRefs) != len(want) {
+		t.Fatalf("%s: %d reference counts for %d terms", stage, len(svc.vocabRefs), len(want))
+	}
+}
+
+// TestServedVocabularyTracksModels follows the union through joins, a
+// resample and leaves, then through a restart whose registrations queue
+// their stored models, one of which leaves before it was counted in.
+func TestServedVocabularyTracksModels(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, dbs := fixture(t, st)
+	for i, db := range dbs {
+		if _, err := svc.Sample(db.Name, SampleOptions{Docs: 40, Seed: uint64(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+		checkServedVocabulary(t, svc, "after sampling "+db.Name)
+	}
+	if _, err := svc.Sample(dbs[0].Name, SampleOptions{Docs: 60, Seed: 99}); err != nil {
+		t.Fatal(err)
+	}
+	checkServedVocabulary(t, svc, "after resampling "+dbs[0].Name)
+
+	restarted := New(analysis.Database(), st)
+	for _, db := range dbs {
+		if err := restarted.RegisterLocal(db.Name, db.Index); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := restarted.Unregister(dbs[1].Name); err != nil {
+		t.Fatal(err)
+	}
+	checkServedVocabulary(t, restarted, "after a restart and unregistering "+dbs[1].Name)
+	if _, err := restarted.Sample(dbs[2].Name, SampleOptions{Docs: 30, Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	checkServedVocabulary(t, restarted, "after resampling "+dbs[2].Name)
+	for _, db := range []*experiments.FederationDB{dbs[0], dbs[2]} {
+		if err := restarted.Unregister(db.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkServedVocabulary(t, restarted, "with nothing served")
+	if restarted.initialModel().VocabSize() != len(seedTerms) {
+		t.Error("an empty service does not fall back to the seed terms")
+	}
+}
+
+// gatedDB blocks its first Search until release is closed.
+type gatedDB struct {
+	core.Database
+	started chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (g *gatedDB) Search(q string, n int) ([]int, error) {
+	g.once.Do(func() {
+		close(g.started)
+		<-g.release
+	})
+	return g.Database.Search(q, n)
+}
+
+// TestUnregisterDuringSampleLeavesVocabulary: a run that finishes after
+// its database was unregistered must not add its model to the served
+// vocabulary, which would then never be counted out again.
+func TestUnregisterDuringSampleLeavesVocabulary(t *testing.T) {
+	dbs, err := experiments.Federation(1, 200, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(analysis.Database(), nil)
+	g := &gatedDB{Database: dbs[0].Index, started: make(chan struct{}), release: make(chan struct{})}
+	if err := svc.RegisterLocal(dbs[0].Name, g); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := svc.Sample(dbs[0].Name, SampleOptions{Docs: 40})
+		done <- err
+	}()
+	<-g.started
+	if err := svc.Unregister(dbs[0].Name); err != nil {
+		t.Fatal(err)
+	}
+	close(g.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	svc.mu.RLock()
+	defer svc.mu.RUnlock()
+	if len(svc.vocab) != 0 || len(svc.vocabRefs) != 0 {
+		t.Errorf("unregistered database's model left %d terms in the served vocabulary", len(svc.vocab))
 	}
 }
 

@@ -409,4 +409,5 @@ func TestChaosRankRCUStress(t *testing.T) {
 	if got := final.compiled.NumDBs(); got != len(dbs) {
 		t.Fatalf("final snapshot has %d DBs, want %d", got, len(dbs))
 	}
+	checkServedVocabulary(t, svc, "after the stress run")
 }

@@ -29,10 +29,10 @@
 //	selectd -max-inflight 64 -degrade-at 48 -degrade-k 10 -max-p99 250ms
 //
 // Result caching and coalescing (DESIGN.md §15): identical in-flight rank
-// work is always computed once and shared across callers; -rank-cache
-// additionally sizes the completed-result LRU in single/shard mode (0
-// disables it), and -front-cache enables the topology-epoch-keyed result
-// cache on a front tier:
+// work is always computed once and shared across callers, on every tier;
+// -rank-cache additionally sizes the completed-result LRU in single/shard
+// mode (0 disables it), and -front-cache sizes the topology-epoch-keyed
+// result LRU on a front tier (0, the default, disables it):
 //
 //	selectd -rank-cache 4096                       # single/shard
 //	selectd -shards '...' -front-cache 1024        # front tier

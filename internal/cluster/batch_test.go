@@ -17,6 +17,7 @@ import (
 	"repro/internal/admission"
 	"repro/internal/analysis"
 	"repro/internal/experiments"
+	"repro/internal/httpapi"
 	"repro/internal/netsearch"
 	"repro/internal/service"
 	"repro/internal/telemetry"
@@ -132,10 +133,8 @@ func TestFrontBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestFrontBatchLegacyShardFallback: stub shards implement only the
-// per-query DBRanker, so the netsearch server answers "rankbatch" by
-// looping — an old shard keeps working behind a new front, and the fused
-// result still matches the single-query path.
+// TestFrontBatchLegacyShardFallback: over scripted stub shards, every
+// item of a batch fuses to exactly what the single-query path returns.
 func TestFrontBatchLegacyShardFallback(t *testing.T) {
 	s0 := &stubShard{partial: []netsearch.RankedDB{{Name: "db-a", Score: 0.9}, {Name: "db-c", Score: 0.2}}}
 	s1 := &stubShard{partial: []netsearch.RankedDB{{Name: "db-b", Score: 0.5}}}
@@ -200,9 +199,9 @@ func TestFrontHTTPRankBatch(t *testing.T) {
 	t.Cleanup(ts.Close)
 	terms := experiments.TopicalTerms(dbs[0], dbs, 2)
 
-	var out batchRankResponse
+	var out httpapi.BatchResponse
 	resp := postJSON(t, ts.URL+"/rank/batch",
-		batchRankRequest{Queries: []string{terms[0] + " " + terms[1], "the and of"}, Alg: "cori", K: 3}, &out)
+		httpapi.BatchRequest{Queries: []string{terms[0] + " " + terms[1], "the and of"}, Alg: "cori", K: 3}, &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: status %d", resp.StatusCode)
 	}
@@ -210,11 +209,11 @@ func TestFrontHTTPRankBatch(t *testing.T) {
 		t.Fatalf("batch response: %+v", out)
 	}
 
-	if resp := postJSON(t, ts.URL+"/rank/batch", batchRankRequest{Alg: "cori"}, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := postJSON(t, ts.URL+"/rank/batch", httpapi.BatchRequest{Alg: "cori"}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty batch: status %d, want 400", resp.StatusCode)
 	}
 	resp = postJSON(t, ts.URL+"/rank/batch",
-		batchRankRequest{Queries: make([]string, service.MaxBatchQueries+1), Alg: "cori"}, nil)
+		httpapi.BatchRequest{Queries: make([]string, httpapi.MaxBatchQueries+1), Alg: "cori"}, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("oversize batch: status %d, want 400", resp.StatusCode)
 	}
@@ -258,7 +257,7 @@ func TestFrontAdmissionOverload(t *testing.T) {
 		t.Fatalf("saturated rank: status %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 	resp = postJSON(t, ts.URL+"/rank/batch",
-		batchRankRequest{Queries: []string{"apple"}, Alg: "cori"}, nil)
+		httpapi.BatchRequest{Queries: []string{"apple"}, Alg: "cori"}, nil)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated batch: status %d, want 429", resp.StatusCode)
 	}
@@ -270,7 +269,7 @@ func TestFrontAdmissionOverload(t *testing.T) {
 	// A streamed batch sheds identically — the refusal happens before any
 	// frame, so the client still gets a plain 429.
 	resp = postJSON(t, ts.URL+"/rank/batch?stream=1",
-		batchRankRequest{Queries: []string{"apple"}, Alg: "cori"}, nil)
+		httpapi.BatchRequest{Queries: []string{"apple"}, Alg: "cori"}, nil)
 	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("saturated streamed batch: status %d, Retry-After %q",
 			resp.StatusCode, resp.Header.Get("Retry-After"))
@@ -317,13 +316,30 @@ func TestFrontAdmissionDegradesK(t *testing.T) {
 		t.Errorf("degraded rank: X-Degraded-K=%q rows=%d, want 1 and 1",
 			resp.Header.Get("X-Degraded-K"), len(ranked))
 	}
-	var batch batchRankResponse
+	var batch httpapi.BatchResponse
 	resp = postJSON(t, ts.URL+"/rank/batch",
-		batchRankRequest{Queries: []string{"apple"}, Alg: "cori", K: 3}, &batch)
+		httpapi.BatchRequest{Queries: []string{"apple"}, Alg: "cori", K: 3}, &batch)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("degraded batch: status %d", resp.StatusCode)
 	}
 	if !batch.Degraded || len(batch.Results[0].Ranked) != 1 {
 		t.Errorf("degraded batch: %+v", batch)
+	}
+}
+
+// TestFrontEmptyBatchInvalid: an empty batch is the caller's mistake on
+// every front entry point, refused before any scatter.
+func TestFrontEmptyBatchInvalid(t *testing.T) {
+	s := &stubShard{partial: []netsearch.RankedDB{{Name: "db-a", Score: 0.9}}}
+	f := newTestFront(t, [][]string{{serveStub(t, s)}}, telemetry.NewRegistry())
+	if _, err := f.RankBatch(nil, "cori", 2, ""); !errors.Is(err, service.ErrInvalid) {
+		t.Errorf("empty RankBatch error = %v, want ErrInvalid", err)
+	}
+	err := f.RankBatchStream(nil, "cori", 2, "", func(int, netsearch.RankedBatch) error { return nil })
+	if !errors.Is(err, service.ErrInvalid) {
+		t.Errorf("empty RankBatchStream error = %v, want ErrInvalid", err)
+	}
+	if s.calls() != 0 {
+		t.Errorf("empty batch scattered %d times, want 0", s.calls())
 	}
 }

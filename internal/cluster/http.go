@@ -1,14 +1,15 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 
+	"repro/internal/admission"
+	"repro/internal/httpapi"
 	"repro/internal/netsearch"
 	"repro/internal/service"
 	"repro/internal/telemetry"
@@ -17,13 +18,8 @@ import (
 // Front HTTP API — the cluster's client-facing surface, mirroring the
 // single-process selectd endpoints it stands in for:
 //
-//	GET    /rank?q=apple+pie&alg=cori&k=5  -> []RankedDB (scatter-gathered)
-//	POST   /rank/batch                     {"queries":[...],"alg":"cori","k":5}
-//	                                       -> {"results":[{"ranked":[...]}...]}
-//	POST   /rank/batch?stream=1            same body -> NDJSON frames, one
-//	                                       fused item per query as every
-//	                                       slot delivers it (SSE with
-//	                                       Accept: text/event-stream)
+//	GET    /rank, POST /rank/batch         the shared rank surface (httpapi),
+//	                                       scatter-gathered
 //	POST   /databases                      {"name":"x","addr":"host:port"}
 //	                                       (routed to the owning slot's replicas)
 //	DELETE /databases/{name}               (routed likewise)
@@ -39,14 +35,12 @@ import (
 func (f *Front) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "role": "front", "slots": f.ring.Slots()})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "role": "front", "slots": f.ring.Slots()})
 	})
-	mux.HandleFunc("/rank", f.handleRank)
-	mux.HandleFunc("/rank/batch", f.handleRankBatch)
 	mux.HandleFunc("/databases", f.handleDatabases)
 	mux.HandleFunc("/databases/", f.handleDatabase)
 	mux.HandleFunc("/cluster", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 			"slots":    f.ring.Slots(),
 			"replicas": f.Health(),
 		})
@@ -65,257 +59,67 @@ func (f *Front) Handler() http.Handler {
 		}
 		http.NotFound(w, r)
 	})
-	return f.instrument(mux)
-}
-
-// instrument is the front's observability middleware: trace IDs (honored
-// from X-Trace-Id, echoed back, and propagated onto every scattered wire
-// frame), status-class counters, request latency, one log line per
-// request — the same contract the single-process service keeps.
-func (f *Front) instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		trace := r.Header.Get("X-Trace-Id")
-		if trace == "" {
-			trace = f.traces.Next()
-		}
-		w.Header().Set("X-Trace-Id", trace)
-		r.Header.Set("X-Trace-Id", trace) // downstream handlers read it back
-
-		sp := f.reg.StartSpan("http_request_seconds")
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		next.ServeHTTP(sw, r)
-		d := sp.End()
-
-		f.reg.Counter("http_requests_total").Inc()
-		f.reg.Counter(fmt.Sprintf(`http_responses_total{class="%dxx"}`, sw.status/100)).Inc()
-		switch {
-		case sw.status >= 500:
-			f.reg.Counter("http_5xx_total").Inc()
-		case sw.status >= 400:
-			f.reg.Counter("http_4xx_total").Inc()
-		}
-		f.logger.Info("front request",
-			"method", r.Method, "path", r.URL.Path, "status", sw.status,
-			"elapsed", d, telemetry.TraceKey, trace)
-	})
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// Flush forwards to the wrapped writer so streamed responses (POST
-// /rank/batch?stream=1) push each frame through the middleware instead of
-// buffering until the handler returns.
-func (w *statusWriter) Flush() {
-	if fl, ok := w.ResponseWriter.(http.Flusher); ok {
-		fl.Flush()
+	surface := &httpapi.Surface{
+		Tier:    "cluster",
+		Metrics: func() *telemetry.Registry { return f.reg },
+		Logger:  func() *slog.Logger { return f.logger },
+		Gate:    func() *admission.Gate { return f.gate },
+		Traces:  f.traces,
+		Rank: func(query, alg string, k int, trace string) ([]netsearch.RankedDB, string, error) {
+			ranked, err := f.Rank(query, alg, k, trace)
+			return ranked, "", err
+		},
+		Batch:  f.RankBatch,
+		Stream: f.RankBatchStream,
 	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// statusFor maps a scatter-path error the same way the single-process
-// service does: the client's mistakes are 400, an unready federation is
-// 503, everything else — including a slot whose replicas all failed — is
-// a 502 the caller can alert on.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, service.ErrUnknownDatabase):
-		return http.StatusNotFound
-	case errors.Is(err, service.ErrInvalid):
-		return http.StatusBadRequest
-	case errors.Is(err, service.ErrNoModels):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusBadGateway
-	}
-}
-
-// shed answers a load-shed request: 429 with the gate's Retry-After hint,
-// the same overload contract the single-process service's surface keeps.
-func shed(w http.ResponseWriter, retryAfterSeconds int) {
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-	writeJSON(w, http.StatusTooManyRequests,
-		map[string]string{"error": "service overloaded, retry later"})
-}
-
-func (f *Front) handleRank(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	ticket, ok := f.gate.Admit()
-	if !ok {
-		shed(w, f.gate.RetryAfterSeconds())
-		return
-	}
-	defer ticket.Release()
-	q := r.URL.Query()
-	k, _ := strconv.Atoi(q.Get("k"))
-	if clamped := ticket.ClampK(k); clamped != k {
-		k = clamped
-		w.Header().Set("X-Degraded-K", strconv.Itoa(k))
-	}
-	ranked, err := f.Rank(q.Get("q"), q.Get("alg"), k, r.Header.Get("X-Trace-Id"))
-	if err != nil {
-		writeErr(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ranked)
-}
-
-// batchRankRequest and batchRankResponse mirror the single-process
-// service's POST /rank/batch wire shapes, so one client speaks to both
-// surfaces interchangeably.
-type batchRankRequest struct {
-	Queries []string `json:"queries"`
-	Alg     string   `json:"alg,omitempty"`
-	K       int      `json:"k,omitempty"`
-}
-
-type batchRankResponse struct {
-	Results  []netsearch.RankedBatch `json:"results"`
-	Degraded bool                    `json:"degraded,omitempty"`
-}
-
-func (f *Front) handleRankBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
-	var req batchRankRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Queries) > service.MaxBatchQueries {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("batch of %d queries exceeds the %d-query limit: %w",
-				len(req.Queries), service.MaxBatchQueries, service.ErrInvalid))
-		return
-	}
-	if len(req.Queries) == 0 {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("cluster: empty batch: %w", service.ErrInvalid))
-		return
-	}
-	// One batch holds one admission slot, as on the shards: the in-flight
-	// unit is the request — what bounds the scatter fan-out — not the query.
-	ticket, ok := f.gate.Admit()
-	if !ok {
-		shed(w, f.gate.RetryAfterSeconds())
-		return
-	}
-	defer ticket.Release()
-	k := ticket.ClampK(req.K)
-	if k != req.K {
-		w.Header().Set("X-Degraded-K", strconv.Itoa(k))
-	}
-	if service.WantStream(r) {
-		f.streamRankBatch(w, r, req, k, k != req.K)
-		return
-	}
-	items, err := f.RankBatch(req.Queries, req.Alg, k, r.Header.Get("X-Trace-Id"))
-	if err != nil {
-		writeErr(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, batchRankResponse{Results: items, Degraded: k != req.K})
-}
-
-// streamRankBatch serves one POST /rank/batch?stream=1 request on the
-// front, reusing the service tier's StreamWriter so both surfaces speak
-// one frame format. The admission ticket's deferred Release fires after
-// the last flush.
-func (f *Front) streamRankBatch(w http.ResponseWriter, r *http.Request, req batchRankRequest, k int, degraded bool) {
-	sw := service.NewStreamWriter(w, r)
-	ctx := r.Context()
-	results := 0
-	err := f.RankBatchStream(req.Queries, req.Alg, k, r.Header.Get("X-Trace-Id"), func(i int, item netsearch.RankedBatch) error {
-		if cerr := ctx.Err(); cerr != nil {
-			// Wrap the sentinel so the slot teardown skips failover and
-			// health penalties all the way down.
-			return fmt.Errorf("%w: %v", netsearch.ErrStreamCanceled, cerr)
-		}
-		results++
-		return sw.Item(i, item.Ranked, item.Error)
-	})
-	if err != nil {
-		if !sw.Started() {
-			writeErr(w, statusFor(err), err)
-			return
-		}
-		f.reg.Counter("cluster_stream_aborts_total").Inc()
-		return
-	}
-	if err := sw.Done(results, degraded); err != nil {
-		f.reg.Counter("cluster_stream_aborts_total").Inc()
-		return
-	}
-	f.reg.Counter("cluster_stream_ranks_total").Inc()
+	return surface.Handler(mux)
 }
 
 func (f *Front) handleDatabases(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST only (listing is served by the shards)"))
+		httpapi.WriteErr(w, http.StatusMethodNotAllowed, errors.New("POST only (listing is served by the shards)"))
 		return
 	}
 	var req struct {
 		Name string `json:"name"`
 		Addr string `json:"addr"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !httpapi.Decode(w, r, &req) {
 		return
 	}
 	if req.Addr == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("addr is required"))
+		httpapi.WriteErr(w, http.StatusBadRequest, errors.New("addr is required"))
 		return
 	}
 	if err := service.ValidateName(req.Name); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		httpapi.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	slot := f.ring.Owner(req.Name)
 	if err := f.registerOnSlot(slot, req.Name, req.Addr); err != nil {
-		writeErr(w, statusFor(err), err)
+		httpapi.WriteErr(w, httpapi.StatusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{"registered": req.Name, "slot": slot})
+	httpapi.WriteJSON(w, http.StatusCreated, map[string]any{"registered": req.Name, "slot": slot})
 }
 
 func (f *Front) handleDatabase(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.EscapedPath(), "/databases/")
 	name, err := url.PathUnescape(rest)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad database name %q: %w", rest, err))
+		httpapi.WriteErr(w, http.StatusBadRequest, fmt.Errorf("bad database name %q: %w", rest, err))
 		return
 	}
 	if name == "" || r.Method != http.MethodDelete {
-		writeErr(w, http.StatusNotFound, errors.New("unknown endpoint (shard-local operations are served by the shards)"))
+		httpapi.WriteErr(w, http.StatusNotFound, errors.New("unknown endpoint (shard-local operations are served by the shards)"))
 		return
 	}
 	slot := f.ring.Owner(name)
 	if err := f.unregisterOnSlot(slot, name); err != nil {
-		writeErr(w, statusFor(err), err)
+		httpapi.WriteErr(w, httpapi.StatusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"deleted": name, "slot": slot})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"deleted": name, "slot": slot})
 }
 
 // registerOnSlot places a database on every replica of its owning slot.

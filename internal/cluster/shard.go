@@ -26,7 +26,7 @@ const (
 
 // Shard adapts a selection service to the netsearch fabric so a front
 // tier can scatter to it: it implements core.Database (vacuously — a
-// shard is not a document database), netsearch.DBRanker, and
+// shard is not a document database), netsearch.StreamBatchRanker, and
 // netsearch.Registrar. Serve it with ServeShard.
 type Shard struct {
 	svc *service.Service
@@ -58,96 +58,38 @@ func (sh *Shard) Fetch(id int) (corpus.Document, error) {
 	return corpus.Document{}, errors.New("cluster: shard is not a document database")
 }
 
-// RankDBs implements netsearch.DBRanker: the shard-local half of a
-// scattered rank query. A shard with no learned models yet contributes an
-// empty partial ranking rather than an error — one cold shard must not
-// fail the whole federation's query. Invalid-argument errors are marked
-// so the front tier knows failover cannot help.
-func (sh *Shard) RankDBs(query, alg string, k int) ([]netsearch.RankedDB, error) {
-	ranked, err := sh.svc.Rank(query, alg, k)
-	if err != nil {
-		if errors.Is(err, service.ErrNoModels) {
-			return nil, nil
-		}
-		if errors.Is(err, service.ErrInvalid) {
-			return nil, errors.New(markInvalid + err.Error())
-		}
-		return nil, err
-	}
-	out := make([]netsearch.RankedDB, len(ranked))
-	for i, r := range ranked {
-		out[i] = netsearch.RankedDB{Name: r.Name, Score: r.Score}
-	}
-	return out, nil
-}
-
-// RankDBsBatch implements netsearch.BatchDBRanker: the shard-local half
-// of a scattered batch. The cold-shard convention carries over from
-// RankDBs — a shard with no models answers every query with an empty
-// partial rather than failing the batch. Per-query problems ride in each
-// item's Error (already plain text, no marker needed: the front passes
-// them through to the matching item, never fails over on them).
-func (sh *Shard) RankDBsBatch(queries []string, alg string, k int) ([]netsearch.RankedBatch, error) {
-	items, err := sh.svc.RankBatch(queries, alg, k)
-	if err != nil {
-		if errors.Is(err, service.ErrNoModels) {
-			return make([]netsearch.RankedBatch, len(queries)), nil
-		}
-		if errors.Is(err, service.ErrInvalid) {
-			return nil, errors.New(markInvalid + err.Error())
-		}
-		return nil, err
-	}
-	out := make([]netsearch.RankedBatch, len(items))
-	for i, it := range items {
-		out[i].Error = it.Error
-		if it.Ranked == nil {
-			continue
-		}
-		out[i].Ranked = make([]netsearch.RankedDB, len(it.Ranked))
-		for j, r := range it.Ranked {
-			out[i].Ranked[j] = netsearch.RankedDB{Name: r.Name, Score: r.Score}
-		}
-	}
-	return out, nil
-}
-
 // RankDBsStream implements netsearch.StreamBatchRanker: the shard-local
-// half of a scattered streaming batch. Each item is emitted the moment the
-// service ranks it, so the front's fused stream never waits on the whole
-// shard batch. The conventions carry over from RankDBsBatch: a cold shard
-// answers every query with an empty partial (emitted only after the
-// whole-batch check, which the service runs before its first emit), and
-// invalid arguments come back marked so the front fails fast without
-// failover.
+// half of a scattered rank — single queries included, as one-item
+// streams. Each item is emitted the moment the service ranks it, so the
+// front's fused stream never waits on the whole shard batch. A shard with
+// no learned models yet contributes an empty partial for every query
+// rather than an error — one cold shard must not fail the whole
+// federation's query. Invalid arguments come back marked, whole-request
+// and per-item alike, so the front fails fast without failover and
+// reports the service's own error text.
 func (sh *Shard) RankDBsStream(queries []string, alg string, k int, emit func(i int, item netsearch.RankedBatch) error) error {
 	err := sh.svc.RankBatchStream(queries, alg, k, func(i int, it service.BatchItem) error {
-		out := netsearch.RankedBatch{Error: it.Error}
-		if it.Ranked != nil {
-			out.Ranked = make([]netsearch.RankedDB, len(it.Ranked))
-			for j, r := range it.Ranked {
-				out.Ranked[j] = netsearch.RankedDB{Name: r.Name, Score: r.Score}
-			}
+		// Per-item errors are text; the service's invalid-argument ones
+		// wrap ErrInvalid last, so they end in its message.
+		if strings.HasSuffix(it.Error, service.ErrInvalid.Error()) {
+			it.Error = markInvalid + it.Error
 		}
-		return emit(i, out)
+		return emit(i, it)
 	})
-	if err != nil {
-		if errors.Is(err, service.ErrNoModels) {
-			// Cold shard: contribute empty partials. ErrNoModels is raised
-			// before the service's first emit, so no item has gone out yet.
-			for i := range queries {
-				if eerr := emit(i, netsearch.RankedBatch{}); eerr != nil {
-					return eerr
-				}
+	switch {
+	case errors.Is(err, service.ErrNoModels):
+		// Cold shard: ErrNoModels is raised before the service's first
+		// emit, so no item has gone out yet.
+		for i := range queries {
+			if eerr := emit(i, netsearch.RankedBatch{}); eerr != nil {
+				return eerr
 			}
-			return nil
 		}
-		if errors.Is(err, service.ErrInvalid) {
-			return errors.New(markInvalid + err.Error())
-		}
-		return err
+		return nil
+	case errors.Is(err, service.ErrInvalid):
+		return errors.New(markInvalid + err.Error())
 	}
-	return nil
+	return err
 }
 
 // RegisterDB implements netsearch.Registrar.
@@ -177,27 +119,50 @@ func (sh *Shard) UnregisterDB(name string) error {
 }
 
 var _ core.Database = (*Shard)(nil)
-var _ netsearch.DBRanker = (*Shard)(nil)
-var _ netsearch.BatchDBRanker = (*Shard)(nil)
 var _ netsearch.StreamBatchRanker = (*Shard)(nil)
 var _ netsearch.Registrar = (*Shard)(nil)
 
+// wireError is an error that crossed the fabric as text, re-attached to
+// the service sentinel its marker named. Its text is the shard's own, with
+// the marker stripped, so both tiers report the same message.
+type wireError struct {
+	msg  string
+	kind error
+}
+
+func (e *wireError) Error() string { return e.msg }
+func (e *wireError) Unwrap() error { return e.kind }
+
+var wireMarks = []struct {
+	mark string
+	kind error
+}{
+	{markInvalid, service.ErrInvalid},
+	{markExists, service.ErrExists},
+	{markUnknown, service.ErrUnknownDatabase},
+}
+
 // classify re-attaches the service sentinel matching a marked wire error,
-// so the front tier can reuse the HTTP layer's statusFor-style mapping on
-// errors that crossed the fabric as text.
+// so the front tier can reuse the HTTP layer's status mapping on errors
+// that crossed the fabric as text. Unmarked errors pass through.
 func classify(err error) error {
 	if err == nil {
 		return nil
 	}
-	msg := err.Error()
-	// The markers arrive embedded in the client's transport wrapping.
-	switch {
-	case strings.Contains(msg, markInvalid):
-		return fmt.Errorf("%s: %w", strings.TrimPrefix(msg, markInvalid), service.ErrInvalid)
-	case strings.Contains(msg, markExists):
-		return fmt.Errorf("%s: %w", strings.TrimPrefix(msg, markExists), service.ErrExists)
-	case strings.Contains(msg, markUnknown):
-		return fmt.Errorf("%s: %w", strings.TrimPrefix(msg, markUnknown), service.ErrUnknownDatabase)
+	if marked := classifyText(err.Error()); marked != nil {
+		return marked
 	}
 	return err
+}
+
+// classifyText is classify for a message: the classified error, or nil
+// when msg carries no marker.
+func classifyText(msg string) error {
+	// The markers may arrive embedded in the client's transport wrapping.
+	for _, m := range wireMarks {
+		if strings.Contains(msg, m.mark) {
+			return &wireError{msg: strings.Replace(msg, m.mark, "", 1), kind: m.kind}
+		}
+	}
+	return nil
 }

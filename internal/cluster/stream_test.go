@@ -2,10 +2,10 @@ package cluster
 
 // Tests for the streaming scatter-gather path (DESIGN.md §15): the fused
 // stream must be bit-identical to the buffered batch (which is itself
-// pinned to the single-query path), legacy shards must keep working via
-// the netsearch server's fallback chain, client aborts must tear the
-// scatter down without failover or health penalties, and the front cache
-// must hit, coalesce, and invalidate on topology epochs.
+// pinned to the single-query path), over real shards and scripted stubs
+// alike, client aborts must tear the scatter down without failover or
+// health penalties, and the front cache must hit, coalesce, and
+// invalidate on topology epochs.
 
 import (
 	"bufio"
@@ -20,7 +20,9 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/httpapi"
 	"repro/internal/netsearch"
+	"repro/internal/rankcache"
 	"repro/internal/service"
 	"repro/internal/telemetry"
 )
@@ -89,9 +91,8 @@ func TestFrontStreamMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestFrontStreamLegacyShardFallback: stub shards implement only the
-// per-query DBRanker, so the netsearch server answers "rankstream" by
-// looping — an old shard keeps working behind a streaming front.
+// TestFrontStreamLegacyShardFallback: over scripted stub shards, the
+// streamed items equal the buffered batch's.
 func TestFrontStreamLegacyShardFallback(t *testing.T) {
 	s0 := &stubShard{partial: []netsearch.RankedDB{{Name: "db-a", Score: 0.9}, {Name: "db-c", Score: 0.2}}}
 	s1 := &stubShard{partial: []netsearch.RankedDB{{Name: "db-b", Score: 0.5}}}
@@ -188,7 +189,7 @@ func TestFrontHTTPRankBatchStream(t *testing.T) {
 	terms := experiments.TopicalTerms(dbs[0], dbs, 2)
 
 	queries := []string{terms[0] + " " + terms[1], "the and of"}
-	body, err := json.Marshal(batchRankRequest{Queries: queries, Alg: "cori", K: 3})
+	body, err := json.Marshal(httpapi.BatchRequest{Queries: queries, Alg: "cori", K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestFrontHTTPRankBatchStream(t *testing.T) {
 	}
 
 	// Whole-batch errors stay plain JSON with the buffered status.
-	resp2 := postJSON(t, ts.URL+"/rank/batch?stream=1", batchRankRequest{Alg: "cori"}, nil)
+	resp2 := postJSON(t, ts.URL+"/rank/batch?stream=1", httpapi.BatchRequest{Alg: "cori"}, nil)
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty streamed batch: status %d, want 400", resp2.StatusCode)
 	}
@@ -308,20 +309,22 @@ func TestFrontCacheHitsAndEpochInvalidation(t *testing.T) {
 // TestFrontCacheFlightErrors: a failed scatter reaches only the followers
 // already waiting on it — never the LRU, never a later caller.
 func TestFrontCacheFlightErrors(t *testing.T) {
-	c := newFrontCache(4)
-	key := frontCacheKey{query: "q", alg: "cori", k: 2}
-	fl, leader := c.join(key)
-	if !leader {
-		t.Fatal("first join not leader")
-	}
-	c.fulfill(key, fl, nil, errors.New("scatter failed"))
-	if _, ok := c.probe(key); ok {
-		t.Fatal("errored scatter was cached")
+	c := rankcache.New[frontKey, []netsearch.RankedDB](4, rankcache.Hooks{})
+	key := frontKey{query: "q", alg: "cori", k: 2}
+	_, how, err := c.Do(key, true, func() ([]netsearch.RankedDB, error) {
+		return nil, errors.New("scatter failed")
+	})
+	if err == nil || how != rankcache.Miss {
+		t.Fatalf("first Do = %v, %v; want the leader's scatter error", how, err)
 	}
 	if c.Len() != 0 {
 		t.Fatalf("cache holds %d entries after an error, want 0", c.Len())
 	}
-	if _, leader := c.join(key); !leader {
-		t.Fatal("failed flight stayed joinable")
+	led := false
+	if _, how, _ := c.Do(key, true, func() ([]netsearch.RankedDB, error) {
+		led = true
+		return nil, nil
+	}); !led || how != rankcache.Miss {
+		t.Fatal("failed flight stayed joinable or the error was cached")
 	}
 }

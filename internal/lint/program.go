@@ -107,11 +107,27 @@ func (p *Program) Funcs() []*FuncInfo { return p.ordered }
 // concrete receivers, and qualified imports. Interface method calls
 // return the interface's method object with iface=true; calls through
 // function values return nil.
+//
+// Calls into generic code resolve to the generic declaration: an
+// explicit instantiation (f[int](), pkg.F[K, V]()) is unwrapped, and the
+// instantiated *types.Func is mapped back to its Origin — the object the
+// program's declaration index is keyed by. Without that, a call into a
+// generic module function would look like a trusted external call.
 func staticCallee(info *types.Info, call *ast.CallExpr) (fn *types.Func, iface bool) {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(ix.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(ix.X)
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn, false
+		fn, ok := info.Uses[fun].(*types.Func)
+		if !ok {
+			return nil, false
+		}
+		return fn.Origin(), false
 	case *ast.SelectorExpr:
 		fn, ok := info.Uses[fun.Sel].(*types.Func)
 		if !ok {
@@ -119,10 +135,10 @@ func staticCallee(info *types.Info, call *ast.CallExpr) (fn *types.Func, iface b
 		}
 		if sel, ok := info.Selections[fun]; ok && sel.Kind() == types.MethodVal {
 			if types.IsInterface(sel.Recv()) {
-				return fn, true
+				return fn.Origin(), true
 			}
 		}
-		return fn, false
+		return fn.Origin(), false
 	}
 	return nil, false
 }

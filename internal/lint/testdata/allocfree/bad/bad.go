@@ -61,3 +61,32 @@ type Scorer interface{ ScoreOne(q string) float64 }
 func Apply(s Scorer, q string) float64 {
 	return s.ScoreOne(q) // want `interface call Scorer.ScoreOne has no module implementers`
 }
+
+// box is a generic container; its hot method reaches an allocating
+// method through the instantiated receiver.
+type box[V any] struct{ vals []V }
+
+// Peek is marked hot, but grow allocates.
+//
+//lint:hotpath
+func (b *box[V]) Peek() int {
+	b.grow()
+	return len(b.vals)
+}
+
+func (b *box[V]) grow() {
+	b.vals = make([]V, 0, 8) // want `make allocates \(in grow, reached from //lint:hotpath Peek\)`
+}
+
+// genHelper allocates; Probe reaches it through an explicit
+// instantiation.
+func genHelper[T any]() []T {
+	return make([]T, 4) // want `make allocates \(in genHelper, reached from //lint:hotpath Probe\)`
+}
+
+// Probe calls generic module code with explicit type arguments.
+//
+//lint:hotpath
+func Probe() int {
+	return len(genHelper[int]())
+}

@@ -49,3 +49,15 @@ func (s *S) SleepHeld() {
 }
 
 func helper() { time.Sleep(time.Millisecond) }
+
+// WriteGenericHeld blocks through a generic helper: the instantiated
+// callee resolves back to its declaration, which writes a file.
+func (s *S) WriteGenericHeld(p []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	writeAll[[]byte](s.f, p) // want `call to writeAll \(may block\) while holding s.mu`
+}
+
+func writeAll[B ~[]byte](f *os.File, p B) {
+	f.Write(p)
+}

@@ -3,7 +3,6 @@ package netsearch
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -11,11 +10,14 @@ import (
 )
 
 // fakeShard is a servable that implements the cluster capability
-// interfaces (DBRanker, Registrar) on top of a trivial registry.
+// interfaces (StreamBatchRanker, Registrar) on top of a trivial registry:
+// every query ranks to the same list, cut to k; perItemErr scripts
+// per-query errors by index, and rankErr refuses whole batches.
 type fakeShard struct {
 	registered map[string]string
 	ranked     []RankedDB
 	rankErr    error
+	perItemErr map[int]string
 }
 
 func (f *fakeShard) Search(query string, n int) ([]int, error) {
@@ -26,15 +28,24 @@ func (f *fakeShard) Fetch(id int) (corpus.Document, error) {
 	return corpus.Document{}, errors.New("not a document database")
 }
 
-func (f *fakeShard) RankDBs(query, alg string, k int) ([]RankedDB, error) {
+func (f *fakeShard) RankDBsStream(queries []string, alg string, k int, emit func(i int, item RankedBatch) error) error {
 	if f.rankErr != nil {
-		return nil, f.rankErr
+		return f.rankErr
 	}
 	out := f.ranked
 	if k > 0 && k < len(out) {
 		out = out[:k]
 	}
-	return out, nil
+	for i := range queries {
+		item := RankedBatch{Ranked: out}
+		if msg, ok := f.perItemErr[i]; ok {
+			item = RankedBatch{Error: msg}
+		}
+		if err := emit(i, item); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (f *fakeShard) RegisterDB(name, addr string) error {
@@ -66,42 +77,6 @@ func startShardServer(t *testing.T, shard *fakeShard) *Client {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
-}
-
-func TestRankOpOverTCP(t *testing.T) {
-	shard := &fakeShard{
-		registered: map[string]string{},
-		ranked: []RankedDB{
-			{Name: "db-a", Score: 0.9},
-			{Name: "db-b", Score: 0.4},
-			{Name: "db-c", Score: 0.1},
-		},
-	}
-	c := startShardServer(t, shard)
-	got, err := c.RankDBs("apple pie", "cori", 2, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, shard.ranked[:2]) {
-		t.Errorf("ranked = %+v, want %+v", got, shard.ranked[:2])
-	}
-}
-
-func TestRankOpServerError(t *testing.T) {
-	shard := &fakeShard{registered: map[string]string{}, rankErr: errors.New("invalid argument: bogus alg")}
-	c := startShardServer(t, shard)
-	if _, err := c.RankDBs("q", "bogus", 5, ""); err == nil || !strings.Contains(err.Error(), "invalid argument") {
-		t.Errorf("rank error = %v, want the server-reported message", err)
-	}
-}
-
-func TestRankOpUnsupported(t *testing.T) {
-	// A plain document database does not implement DBRanker; the server
-	// must answer with a clean error, not a dropped connection.
-	_, c := startServer(t, "apple pie")
-	if _, err := c.RankDBs("apple", "cori", 5, ""); err == nil || !strings.Contains(err.Error(), "rank unsupported") {
-		t.Errorf("rank on non-ranker = %v", err)
-	}
 }
 
 func TestRegisterUnregisterOpsOverTCP(t *testing.T) {

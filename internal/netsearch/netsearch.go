@@ -59,28 +59,25 @@ type request struct {
 }
 
 // response is one wire response. Most ops answer with exactly one; the
-// "rankstream" op answers with a frame sequence — one Item frame per query
-// as its ranking completes, terminated by an EOS frame (or an Error frame
-// for a whole-batch refusal). A stream with no terminal frame means the
-// connection died mid-flight.
+// "rankstream" op — the wire's one rank op — answers with a frame
+// sequence: one item frame per query as its ranking completes, terminated
+// by an EOS frame (or an Error frame for a whole-batch refusal). A stream
+// with no terminal frame means the connection died mid-flight.
 type response struct {
-	IDs    []int            `json:"ids,omitempty"`
-	Doc    *corpus.Document `json:"doc,omitempty"`
-	Count  *int             `json:"count,omitempty"`
-	Ranked []RankedDB       `json:"ranked,omitempty"`
-	Batch  []RankedBatch    `json:"batch,omitempty"`
-	Item   *streamItemFrame `json:"item,omitempty"`
-	EOS    bool             `json:"eos,omitempty"`
-	Error  string           `json:"error,omitempty"`
-}
-
-// streamItemFrame is one query's result inside a rankstream response
-// sequence. Index is the query's position in the request, so a fused
-// gather can stream shard results out of arrival order.
-type streamItemFrame struct {
-	Index  int        `json:"index"`
-	Ranked []RankedDB `json:"ranked,omitempty"`
-	Error  string     `json:"error,omitempty"`
+	IDs   []int            `json:"ids,omitempty"`
+	Doc   *corpus.Document `json:"doc,omitempty"`
+	Count *int             `json:"count,omitempty"`
+	// An item frame carries one query's result: Index is the query's
+	// position in the request, so a fused gather can take shard results
+	// out of arrival order, and ItemError is that query's own refusal.
+	// The fields sit at the top level, not in a nested object, because
+	// every nesting level deepens the decoder's recursion on the stack of
+	// a freshly started scatter goroutine.
+	Index     *int       `json:"index,omitempty"`
+	Ranked    []RankedDB `json:"ranked,omitempty"`
+	ItemError string     `json:"item_error,omitempty"`
+	EOS       bool       `json:"eos,omitempty"`
+	Error     string     `json:"error,omitempty"`
 }
 
 // RankedDB is one database in a selection ranking carried over the wire —
@@ -90,36 +87,19 @@ type RankedDB struct {
 	Score float64 `json:"score"`
 }
 
-// RankedBatch is one query's outcome inside a batched ranking — the wire
-// twin of service.BatchItem. Items fail independently: Error carries a
-// per-query problem (no index terms, say) while the neighbors still rank.
+// RankedBatch is one query's outcome inside a batched ranking (the
+// service's BatchItem is the same type). Items fail independently: Error
+// carries a per-query problem (no index terms, say) while the neighbors
+// still rank.
 type RankedBatch struct {
 	Ranked []RankedDB `json:"ranked,omitempty"`
 	Error  string     `json:"error,omitempty"`
 }
 
-// DBRanker matches servables that can rank their registered databases for
-// a query — a selection service shard (see internal/cluster). The server
-// forwards "rank" requests to it when available.
-type DBRanker interface {
-	RankDBs(query, alg string, k int) ([]RankedDB, error)
-}
-
-// BatchDBRanker matches servables that rank a whole batch of queries in
-// one call, amortizing snapshot acquisition and scratch reuse (the
-// high-QPS path, DESIGN.md §14). The server prefers it for "rankbatch"
-// requests and falls back to per-query DBRanker when only that is
-// implemented, so old shards keep working behind a new front.
-type BatchDBRanker interface {
-	RankDBsBatch(queries []string, alg string, k int) ([]RankedBatch, error)
-}
-
-// StreamBatchRanker matches servables that can rank a batch query by
-// query, emitting each item the moment it completes — the wire's streaming
-// tier (DESIGN.md §15). The server prefers it for "rankstream" requests
-// and degrades to BatchDBRanker (buffer, then emit) and DBRanker (rank one
-// by one) when only those are implemented, so any shard vintage can sit
-// behind a streaming front.
+// StreamBatchRanker matches servables that rank a batch query by query,
+// emitting each item the moment it completes — a selection service shard
+// (see internal/cluster). The server forwards "rankstream" requests to it;
+// a single query is a one-item stream (DESIGN.md §15).
 type StreamBatchRanker interface {
 	RankDBsStream(queries []string, alg string, k int, emit func(i int, item RankedBatch) error) error
 }
@@ -252,7 +232,11 @@ func (s *Server) handle(conn net.Conn) {
 		conn.Close()
 	}()
 	dec := json.NewDecoder(bufio.NewReader(conn))
-	enc := json.NewEncoder(conn)
+	// Frames are encoded into one buffered writer per connection and
+	// flushed explicitly, so each response is one write — and a one-query
+	// stream's item and EOS frames share one.
+	bw := bufio.NewWriter(conn)
+	enc := json.NewEncoder(bw)
 	for {
 		var req request
 		if err := dec.Decode(&req); err != nil {
@@ -268,8 +252,8 @@ func (s *Server) handle(conn net.Conn) {
 				lg.Debug("netsearch request",
 					"op", req.Op, telemetry.TraceKey, req.Trace)
 			}
-			if err := s.streamRank(req, enc, reg); err != nil {
-				return // encode failed; the frame stream is desynced
+			if err := s.streamRank(req, enc, bw, reg); err != nil {
+				return // write failed; the frame stream is desynced
 			}
 			continue
 		}
@@ -287,6 +271,9 @@ func (s *Server) handle(conn net.Conn) {
 		if err := enc.Encode(resp); err != nil {
 			return
 		}
+		if err := bw.Flush(); err != nil {
+			return
+		}
 	}
 }
 
@@ -295,56 +282,47 @@ func (s *Server) handle(conn net.Conn) {
 // cardinality.
 func promSafe(op string) string {
 	switch op {
-	case "search", "fetch", "count", "rank", "rankbatch", "rankstream", "register", "unregister":
+	case "search", "fetch", "count", "rankstream", "register", "unregister":
 		return op
 	}
 	return "other"
 }
 
 // streamRank serves one "rankstream" request as a frame sequence on enc.
-// It prefers a StreamBatchRanker servable (true per-item streaming) and
-// degrades to BatchDBRanker or DBRanker so legacy shards still answer. A
-// returned error is always an encode failure: the caller must drop the
-// connection, because a half-written frame sequence cannot be resumed.
-// Whole-batch ranker errors become a terminal Error frame instead.
-func (s *Server) streamRank(req request, enc *json.Encoder, reg *telemetry.Registry) error {
+// Every item frame but the last is flushed as it is encoded, so the peer
+// sees each query's result the moment it is ranked; the last goes out in
+// the same write as the terminal frame, so a one-query stream costs one
+// write. A returned error is always a write failure: the caller must drop
+// the connection, because a half-written frame sequence cannot be
+// resumed. Whole-batch ranker errors become a terminal Error frame.
+func (s *Server) streamRank(req request, enc *json.Encoder, bw *bufio.Writer, reg *telemetry.Registry) error {
+	sent := 0
 	emit := func(i int, item RankedBatch) error {
-		return enc.Encode(response{Item: &streamItemFrame{
-			Index: i, Ranked: item.Ranked, Error: item.Error,
-		}})
+		if err := enc.Encode(response{Index: &i, Ranked: item.Ranked, ItemError: item.Error}); err != nil {
+			return err
+		}
+		if sent++; sent < len(req.Queries) {
+			return bw.Flush()
+		}
+		return nil
 	}
 	var err error
-	switch db := s.db.(type) {
-	case StreamBatchRanker:
+	if db, ok := s.db.(StreamBatchRanker); ok {
 		err = db.RankDBsStream(req.Queries, req.Alg, req.N, emit)
-	case BatchDBRanker:
-		var batch []RankedBatch
-		batch, err = db.RankDBsBatch(req.Queries, req.Alg, req.N)
-		for i := 0; err == nil && i < len(batch); i++ {
-			err = emit(i, batch[i])
-		}
-	case DBRanker:
-		for i, q := range req.Queries {
-			item := RankedBatch{}
-			if ranked, rerr := db.RankDBs(q, req.Alg, req.N); rerr != nil {
-				item.Error = rerr.Error()
-			} else {
-				item.Ranked = ranked
-			}
-			if err = emit(i, item); err != nil {
-				return err
-			}
-		}
-	default:
+	} else {
 		err = errors.New("rankstream unsupported by this database")
 	}
+	end := response{EOS: true}
 	if err != nil {
 		reg.Counter("netsearch_server_errors_total").Inc()
-		// If err was itself an encode failure this Encode fails too and the
+		// If err was itself a write failure this one fails too and the
 		// caller drops the connection — exactly right either way.
-		return enc.Encode(response{Error: err.Error()})
+		end = response{Error: err.Error()}
 	}
-	return enc.Encode(response{EOS: true})
+	if err := enc.Encode(end); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
 func (s *Server) dispatch(req request) response {
@@ -371,38 +349,6 @@ func (s *Server) dispatch(req request) response {
 			return response{Error: err.Error()}
 		}
 		return response{Count: &n}
-	case "rank":
-		dr, ok := s.db.(DBRanker)
-		if !ok {
-			return response{Error: "rank unsupported by this database"}
-		}
-		ranked, err := dr.RankDBs(req.Query, req.Alg, req.N)
-		if err != nil {
-			return response{Error: err.Error()}
-		}
-		return response{Ranked: ranked}
-	case "rankbatch":
-		if br, ok := s.db.(BatchDBRanker); ok {
-			batch, err := br.RankDBsBatch(req.Queries, req.Alg, req.N)
-			if err != nil {
-				return response{Error: err.Error()}
-			}
-			return response{Batch: batch}
-		}
-		dr, ok := s.db.(DBRanker)
-		if !ok {
-			return response{Error: "rankbatch unsupported by this database"}
-		}
-		batch := make([]RankedBatch, len(req.Queries))
-		for i, q := range req.Queries {
-			ranked, err := dr.RankDBs(q, req.Alg, req.N)
-			if err != nil {
-				batch[i].Error = err.Error()
-				continue
-			}
-			batch[i].Ranked = ranked
-		}
-		return response{Batch: batch}
 	case "register":
 		rg, ok := s.db.(Registrar)
 		if !ok {
@@ -729,10 +675,8 @@ func (c *Client) doStream(req request, emit func(i int, item RankedBatch) error)
 			return remoteError{resp.Error}
 		case resp.EOS:
 			return nil
-		case resp.Item != nil:
-			if err := emit(resp.Item.Index, RankedBatch{
-				Ranked: resp.Item.Ranked, Error: resp.Item.Error,
-			}); err != nil {
+		case resp.Index != nil:
+			if err := emit(*resp.Index, RankedBatch{Ranked: resp.Ranked, Error: resp.ItemError}); err != nil {
 				return emitError{err}
 			}
 		default:
@@ -744,16 +688,21 @@ func (c *Client) doStream(req request, emit func(i int, item RankedBatch) error)
 	}
 }
 
-// RankDBsStream scatters a batch to the shard and emits each query's item
-// the moment its frame arrives, instead of waiting for the whole batch —
-// the streaming twin of RankDBsBatch. Items arrive tagged with their query
-// index. Like the other ops it is a pure read and retries transport faults
-// by replaying the whole stream on a fresh connection: emit can therefore
-// see an index more than once, with bit-identical contents (ranking is
-// deterministic), and consumers keep the first delivery. An error returned
-// by emit cancels the stream: the connection is discarded (frames for a
-// consumer that left would desync it), no retry happens, and the error is
-// returned wrapped — cancellation conventionally wraps ErrStreamCanceled.
+// RankDBsStream asks a selection-service shard (a servable implementing
+// StreamBatchRanker) to rank a batch, emitting each query's item the
+// moment its frame arrives — the cluster scatter operation, and the wire's
+// one rank op. Items arrive tagged with their query index. Like the other
+// ops it is a pure read and retries transport faults by replaying the
+// whole stream on a fresh connection: emit can therefore see an index more
+// than once, with bit-identical contents (ranking is deterministic), and
+// consumers keep the first delivery. trace stamps this one request's
+// frame (one client serves many concurrent scatters, so the client-wide
+// SetTrace is the wrong scope); "" falls back to the client trace. A
+// whole-batch refusal comes back as the server's error, verbatim. An
+// error returned by emit cancels the stream: the connection is discarded
+// (frames for a consumer that left would desync it), no retry happens,
+// and the error is returned wrapped — cancellation conventionally wraps
+// ErrStreamCanceled.
 func (c *Client) RankDBsStream(queries []string, alg string, k int, trace string, emit func(i int, item RankedBatch) error) error {
 	req := request{Op: "rankstream", Queries: queries, Alg: alg, N: k, Trace: trace}
 	sp := c.opts.Metrics.StartSpan(`netsearch_op_seconds{op="rankstream"}`)
@@ -771,6 +720,32 @@ func (c *Client) RankDBsStream(queries []string, alg string, k int, trace string
 		return response{}, c.doStream(req, emit)
 	})
 	return err
+}
+
+// RankDBsBatch is RankDBsStream collected: one RankedBatch per query, in
+// input order, keeping the first delivery of each index. A stream that
+// ends without an item for every query is an error.
+func (c *Client) RankDBsBatch(queries []string, alg string, k int, trace string) ([]RankedBatch, error) {
+	out := make([]RankedBatch, len(queries))
+	have := make([]bool, len(queries))
+	err := c.RankDBsStream(queries, alg, k, trace, func(i int, item RankedBatch) error {
+		if i < 0 || i >= len(out) {
+			return fmt.Errorf("netsearch: rankstream item index %d out of range [0,%d)", i, len(out))
+		}
+		if !have[i] {
+			out[i], have[i] = item, true
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, ok := range have {
+		if !ok {
+			return nil, fmt.Errorf("netsearch: rankstream returned no item for query %d of %d", i, len(queries))
+		}
+	}
+	return out, nil
 }
 
 // Search implements core.Database.
@@ -792,38 +767,6 @@ func (c *Client) Fetch(id int) (corpus.Document, error) {
 		return corpus.Document{}, errors.New("netsearch: fetch returned no document")
 	}
 	return *resp.Doc, nil
-}
-
-// RankDBs asks a selection-service shard (a servable implementing
-// DBRanker) for its partial database ranking — the cluster scatter
-// operation. It is a pure read: retrying after a transport fault is as
-// safe as search/fetch/count. trace stamps this one request's wire frame
-// (one client serves many concurrent scatter queries, so the client-wide
-// SetTrace is the wrong scope); "" falls back to the client trace.
-// Server-side errors come back verbatim.
-func (c *Client) RankDBs(query, alg string, k int, trace string) ([]RankedDB, error) {
-	resp, err := c.roundTrip(request{Op: "rank", Query: query, Alg: alg, N: k, Trace: trace})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Ranked, nil
-}
-
-// RankDBsBatch scatters a whole batch of queries to the shard in one wire
-// frame, returning one RankedBatch per query in input order. Like RankDBs
-// it is a pure read (safe to retry) and takes a per-request trace. A
-// whole-batch failure (unknown algorithm, cold shard) comes back as an
-// error; per-query problems ride in each item's Error.
-func (c *Client) RankDBsBatch(queries []string, alg string, k int, trace string) ([]RankedBatch, error) {
-	resp, err := c.roundTrip(request{Op: "rankbatch", Queries: queries, Alg: alg, N: k, Trace: trace})
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Batch) != len(queries) {
-		return nil, fmt.Errorf("netsearch: rankbatch returned %d items for %d queries",
-			len(resp.Batch), len(queries))
-	}
-	return resp.Batch, nil
 }
 
 // RegisterDB registers a database on a remote shard (a servable

@@ -1,61 +1,23 @@
 package netsearch
 
-// Tests for the "rankstream" wire op (DESIGN.md §15): streamed items over
-// real TCP for all three server vintages (StreamBatchRanker, BatchDBRanker,
-// DBRanker), in-order delivery with per-item errors, caller aborts that
-// discard the connection without fault accounting or retries, and the
-// connection surviving for the next operation.
+// Tests for the "rankstream" wire op (DESIGN.md §15), the wire's one rank
+// op: streamed items over real TCP, in-order delivery with per-item
+// errors, the one-write reply for a single query, the collecting
+// RankDBsBatch, caller aborts that discard the connection without fault
+// accounting or retries, the connection surviving for the next operation,
+// and the retired per-query and buffered rank ops answering "unknown op".
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/telemetry"
 )
-
-// streamShard implements StreamBatchRanker natively on top of fakeShard.
-type streamShard struct {
-	fakeShard
-	perItemErr map[int]string // index -> streamed item error
-}
-
-func (s *streamShard) RankDBsStream(queries []string, alg string, k int, emit func(i int, item RankedBatch) error) error {
-	for i := range queries {
-		if msg, ok := s.perItemErr[i]; ok {
-			if err := emit(i, RankedBatch{Error: msg}); err != nil {
-				return err
-			}
-			continue
-		}
-		ranked, err := s.RankDBs(queries[i], alg, k)
-		if err != nil {
-			return err
-		}
-		if err := emit(i, RankedBatch{Ranked: ranked}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// batchShard implements only the buffered BatchDBRanker.
-type batchShard struct{ fakeShard }
-
-func (s *batchShard) RankDBsBatch(queries []string, alg string, k int) ([]RankedBatch, error) {
-	out := make([]RankedBatch, len(queries))
-	for i, q := range queries {
-		ranked, err := s.RankDBs(q, alg, k)
-		if err != nil {
-			return nil, err
-		}
-		out[i].Ranked = ranked
-	}
-	return out, nil
-}
 
 func collectRankStream(t *testing.T, c *Client, queries []string, k int) []RankedBatch {
 	t.Helper()
@@ -73,63 +35,104 @@ func collectRankStream(t *testing.T, c *Client, queries []string, k int) []Ranke
 	return items
 }
 
-// TestRankStreamOverTCP exercises every server vintage: a native streamer
-// (with a per-item error), a buffered batch ranker, and a one-query-at-a-
-// time legacy ranker — all must deliver the same items, in order.
+// TestRankStreamOverTCP: a streaming shard (with a per-item error) must
+// deliver every item, in order, and leave the connection usable.
 func TestRankStreamOverTCP(t *testing.T) {
 	ranked := []RankedDB{{Name: "db-a", Score: 0.9}, {Name: "db-b", Score: 0.4}}
-	servables := map[string]core.Database{
-		"stream": &streamShard{
-			fakeShard:  fakeShard{ranked: ranked},
+	t.Run("stream", func(t *testing.T) {
+		c := startShardServer(t, &fakeShard{
+			ranked:     ranked,
 			perItemErr: map[int]string{1: "no index terms"},
-		},
-		"batch":  &batchShard{fakeShard{ranked: ranked}},
-		"legacy": &fakeShard{ranked: ranked},
-	}
-	for vintage, sh := range servables {
-		t.Run(vintage, func(t *testing.T) {
-			srv, err := Serve(sh, "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { srv.Close() })
-			c, err := Dial(srv.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { c.Close() })
-
-			queries := []string{"apple", "the and of", "plum"}
-			items := collectRankStream(t, c, queries, 2)
-			if len(items) != len(queries) {
-				t.Fatalf("got %d items for %d queries", len(items), len(queries))
-			}
-			for i, it := range items {
-				if vintage == "stream" && i == 1 {
-					if it.Error != "no index terms" || it.Ranked != nil {
-						t.Errorf("item 1 = %+v, want the shard's streamed error", it)
-					}
-					continue
-				}
-				if it.Error != "" || !reflect.DeepEqual(it.Ranked, ranked) {
-					t.Errorf("item %d = %+v, want %+v", i, it, ranked)
-				}
-			}
-			// The connection survives the stream: the next op reuses it.
-			if _, err := c.RankDBs("apple", "cori", 2, ""); err != nil {
-				t.Fatalf("rank after stream: %v", err)
-			}
 		})
+		queries := []string{"apple", "the and of", "plum"}
+		items := collectRankStream(t, c, queries, 2)
+		if len(items) != len(queries) {
+			t.Fatalf("got %d items for %d queries", len(items), len(queries))
+		}
+		for i, it := range items {
+			if i == 1 {
+				if it.Error != "no index terms" || it.Ranked != nil {
+					t.Errorf("item 1 = %+v, want the shard's streamed error", it)
+				}
+				continue
+			}
+			if it.Error != "" || !reflect.DeepEqual(it.Ranked, ranked) {
+				t.Errorf("item %d = %+v, want %+v", i, it, ranked)
+			}
+		}
+		// The connection survives the stream: the next op reuses it.
+		got, err := c.RankDBsBatch([]string{"apple"}, "cori", 1, "")
+		if err != nil {
+			t.Fatalf("rank after stream: %v", err)
+		}
+		if len(got) != 1 || !reflect.DeepEqual(got[0].Ranked, ranked[:1]) {
+			t.Errorf("rank after stream = %+v, want %+v", got, ranked[:1])
+		}
+	})
+}
+
+// TestRankStreamServerError: a whole-batch refusal (the shard's ranker
+// errors before any item) surfaces as a remote error, not a dropped
+// connection.
+func TestRankStreamServerError(t *testing.T) {
+	c := startShardServer(t, &fakeShard{rankErr: errors.New("invalid argument: bogus alg")})
+	err := c.RankDBsStream([]string{"q"}, "bogus", 5, "", func(int, RankedBatch) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "invalid argument") {
+		t.Errorf("stream error = %v, want the server-reported message", err)
+	}
+	if _, err := c.RankDBsBatch([]string{"q"}, "bogus", 5, ""); err == nil || !strings.Contains(err.Error(), "invalid argument") {
+		t.Errorf("collected stream error = %v, want the server-reported message", err)
 	}
 }
 
-// TestRankStreamServerError: a whole-batch refusal (the shard's batch
-// ranker errors before any item) surfaces as a remote error, not a dropped
-// connection. A legacy per-query shard instead degrades the same failure
-// to per-item errors — both contracts are pinned here.
-func TestRankStreamServerError(t *testing.T) {
-	sh := &batchShard{fakeShard{rankErr: errors.New("invalid argument: bogus alg")}}
+// TestRankStreamOneQueryOneWrite: a one-query stream's item frame and its
+// terminal frame leave the server in a single write, so the client's
+// first read holds both.
+func TestRankStreamOneQueryOneWrite(t *testing.T) {
+	sh := &fakeShard{ranked: []RankedDB{{Name: "db-a", Score: 0.9}}}
 	srv, err := Serve(sh, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte(`{"op":"rankstream","queries":["apple"],"alg":"cori"}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4096)
+	n, err := conn.Read(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := string(buf[:n])
+	if !strings.Contains(got, `"index":0`) || !strings.Contains(got, `"eos":true`) {
+		t.Errorf("first read = %q, want the item and eos frames together", got)
+	}
+}
+
+// gapShard emits a scripted index sequence regardless of the batch.
+type gapShard struct {
+	fakeShard
+	indexes []int
+}
+
+func (g *gapShard) RankDBsStream(queries []string, alg string, k int, emit func(i int, item RankedBatch) error) error {
+	for _, i := range g.indexes {
+		if err := emit(i, RankedBatch{Ranked: []RankedDB{{Name: fmt.Sprintf("db-%d-%d", i, len(queries))}}}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestRankDBsBatchCollects: the collecting client keeps the first
+// delivery of each index and refuses a stream that skipped one.
+func TestRankDBsBatchCollects(t *testing.T) {
+	srv, err := Serve(&gapShard{indexes: []int{1, 0, 1}}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,19 +142,62 @@ func TestRankStreamServerError(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	err = c.RankDBsStream([]string{"q"}, "bogus", 5, "", func(int, RankedBatch) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "invalid argument") {
-		t.Errorf("stream error = %v, want the server-reported message", err)
+	got, err := c.RankDBsBatch([]string{"a", "b"}, "cori", 0, "")
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(got) != 2 || got[0].Ranked[0].Name != "db-0-2" || got[1].Ranked[0].Name != "db-1-2" {
+		t.Errorf("collected %+v, want one item per index in input order", got)
+	}
+	if _, err := c.RankDBsBatch([]string{"a", "b", "c"}, "cori", 0, ""); err == nil ||
+		!strings.Contains(err.Error(), "no item for query 2") {
+		t.Errorf("stream missing an index: err = %v, want a missing-item error", err)
+	}
+}
 
-	// Legacy vintage: the per-query fallback reports the same failure in
-	// each item's Error, and the stream itself completes.
-	legacy := startShardServer(t, &fakeShard{rankErr: errors.New("invalid argument: bogus alg")})
-	items := collectRankStream(t, legacy, []string{"a", "b"}, 5)
-	for i, it := range items {
-		if !strings.Contains(it.Error, "invalid argument") {
-			t.Errorf("legacy item %d = %+v, want the per-item error", i, it)
+// TestRetiredRankOpsRejected: the per-query "rank" and buffered
+// "rankbatch" ops are gone from the wire; a server answers them like any
+// unknown op, with an error frame on a connection that stays usable.
+func TestRetiredRankOpsRejected(t *testing.T) {
+	sh := &fakeShard{ranked: []RankedDB{{Name: "db-a", Score: 0.9}}}
+	srv, err := Serve(sh, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	rd := bufio.NewReader(conn)
+	for _, frame := range []string{
+		`{"op":"rank","query":"apple","alg":"cori","n":2}`,
+		`{"op":"rankbatch","queries":["apple"],"alg":"cori","n":2}`,
+	} {
+		if _, err := conn.Write([]byte(frame + "\n")); err != nil {
+			t.Fatal(err)
 		}
+		line, err := rd.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(line, "unknown op") {
+			t.Errorf("%s answered %q, want an unknown-op error frame", frame, line)
+		}
+	}
+}
+
+// TestRankStreamUnsupported: a plain document database is not a ranker;
+// the server answers with a clean error, not a dropped connection.
+func TestRankStreamUnsupported(t *testing.T) {
+	_, c := startServer(t, "apple pie")
+	err := c.RankDBsStream([]string{"apple"}, "cori", 5, "", func(int, RankedBatch) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "rankstream unsupported") {
+		t.Errorf("rankstream on a non-ranker = %v", err)
+	}
+	if _, err := c.Search("apple", 1); err != nil {
+		t.Errorf("connection unusable after the refusal: %v", err)
 	}
 }
 
@@ -159,7 +205,7 @@ func TestRankStreamServerError(t *testing.T) {
 // costs no fault or retry (the caller chose to leave), discards the
 // now-desynchronized connection, and the client redials for the next op.
 func TestRankStreamCallerAbort(t *testing.T) {
-	sh := &streamShard{fakeShard: fakeShard{ranked: []RankedDB{{Name: "db-a", Score: 0.9}}}}
+	sh := &fakeShard{ranked: []RankedDB{{Name: "db-a", Score: 0.9}}}
 	srv, err := Serve(sh, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -194,11 +240,11 @@ func TestRankStreamCallerAbort(t *testing.T) {
 		t.Errorf("conns discarded = %d, want 1 (the desynced stream connection)", got)
 	}
 	// The abandoned connection was discarded; the next op redials cleanly.
-	got, err := c.RankDBs("apple", "cori", 1, "")
+	got, err := c.RankDBsBatch([]string{"apple"}, "cori", 1, "")
 	if err != nil {
 		t.Fatalf("rank after aborted stream: %v", err)
 	}
-	if len(got) != 1 || got[0].Name != "db-a" {
+	if len(got) != 1 || len(got[0].Ranked) != 1 || got[0].Ranked[0].Name != "db-a" {
 		t.Errorf("post-abort rank = %+v", got)
 	}
 }

@@ -1,8 +1,8 @@
 package service
 
 import (
-	"fmt"
-
+	"repro/internal/httpapi"
+	"repro/internal/netsearch"
 	"repro/internal/selection"
 )
 
@@ -19,16 +19,14 @@ import (
 // (rank_coalesced_total{scope=batch}), and a batch item identical to any
 // rank in flight elsewhere — another batch, a single /rank — joins that
 // flight instead of recomputing (scope=flight). Both are bit-identical to
-// independent ranks because every path funnels into rankSnapshot against
-// the same epoch's snapshot.
+// independent ranks because every path funnels into rankKeyed against the
+// same epoch's snapshot.
 
-// BatchItem is one query's outcome inside a batch ranking. Items fail
-// independently: a query that tokenizes to nothing reports its error here
-// while its neighbors still rank.
-type BatchItem struct {
-	Ranked []RankedDB `json:"ranked,omitempty"`
-	Error  string     `json:"error,omitempty"`
-}
+// BatchItem is one query's outcome inside a batch ranking — the same type
+// the cluster wire carries. Items fail independently: a query that
+// tokenizes to nothing reports its error here while its neighbors still
+// rank.
+type BatchItem = netsearch.RankedBatch
 
 // RankBatch ranks every query in the batch against the same compiled
 // snapshot, returning one BatchItem per query in input order. Whole-batch
@@ -36,11 +34,13 @@ type BatchItem struct {
 // (ErrInvalid), a federation with no learned models (ErrNoModels) — are
 // returned as an error; per-query problems land in the item's Error.
 //
-// RankBatch scores exactly like Rank (both funnel into rankSnapshot), so
+// RankBatch scores exactly like Rank (both funnel into rankKeyed), so
 // batched and sequential rankings are bit-identical. It deliberately
-// bypasses the result cache: a batch is the bulk path, and filling the
-// LRU with its queries would evict the interactive working set. It still
-// coalesces through the in-flight map, which caches nothing.
+// bypasses the result cache's LRU: a batch is the bulk path, and filling
+// the LRU with its queries would evict the interactive working set. It
+// still coalesces with rankings in flight elsewhere, which caches nothing.
+// A batch of one is a single query and uses the LRU like Rank does: that
+// is how the cluster front's single-query ranks reach a shard.
 func (s *Service) RankBatch(queries []string, algName string, k int) ([]BatchItem, error) {
 	items := make([]BatchItem, len(queries))
 	err := s.RankBatchStream(queries, algName, k, func(i int, item BatchItem) error {
@@ -62,14 +62,14 @@ func (s *Service) RankBatch(queries []string, algName string, k int) ([]BatchIte
 // HTTP layer can still answer them with a plain status code.
 //
 // The emitted Ranked slice is the caller's to keep: it is a fresh copy,
-// never shared with the cache, the coalescer, or other emits.
+// never shared with the cache or other emits.
 func (s *Service) RankBatchStream(queries []string, algName string, k int, emit func(i int, item BatchItem) error) error {
 	reg := s.Metrics()
 	defer reg.Timer("service_rank_batch_seconds")()
 
 	if len(queries) == 0 {
 		reg.Counter("service_select_errors_total").Inc()
-		return fmt.Errorf("service: empty batch: %w", ErrInvalid)
+		return httpapi.ErrEmptyBatch
 	}
 	alg, err := parseAlgorithm(algName)
 	if err != nil {
@@ -93,54 +93,13 @@ func (s *Service) RankBatchStream(queries []string, algName string, k int, emit 
 	if len(queries) > 1 {
 		seen = make(map[string][]RankedDB, len(queries))
 	}
+	admit := len(queries) == 1
 	for i, q := range queries {
-		scr.terms = s.analyzer.AppendTokens(scr.terms[:0], q)
-		if len(scr.terms) == 0 {
-			err := emit(i, BatchItem{Error: fmt.Sprintf("service: query has no index terms: %v", ErrInvalid)})
-			if err != nil {
-				return err
-			}
-			continue
+		item, err := s.rankBatchItem(snap, alg, algName, scr, q, k, seen, admit)
+		if err != nil {
+			item = BatchItem{Error: err.Error()}
 		}
-		scr.key = scr.key[:0]
-		for j, t := range scr.terms {
-			if j > 0 {
-				scr.key = append(scr.key, 0x1f)
-			}
-			scr.key = append(scr.key, t...)
-		}
-		termKey := string(scr.key)
-		if val, ok := seen[termKey]; ok {
-			reg.Counter(`service_rank_coalesced_total{scope="batch"}`).Inc()
-			if err := emit(i, BatchItem{Ranked: append([]RankedDB(nil), val...)}); err != nil {
-				return err
-			}
-			continue
-		}
-		key := rankCacheKey{query: termKey, alg: algName, k: k, epoch: snap.epoch}
-		f, leader := s.joinFlight(key)
-		var val []RankedDB
-		if leader {
-			val = s.rankBatchLeader(key, f, snap, alg, scr, k)
-		} else {
-			reg.Counter(`service_rank_coalesced_total{scope="flight"}`).Inc()
-			<-f.ready
-			if f.err != nil {
-				// The flight failed (its leader panicked). Deliver the error
-				// to this position — it asked for exactly that computation —
-				// but keep it out of `seen`, so a later duplicate retries
-				// fresh instead of inheriting the failure.
-				if err := emit(i, BatchItem{Error: f.err.Error()}); err != nil {
-					return err
-				}
-				continue
-			}
-			val = f.val
-		}
-		if seen != nil {
-			seen[termKey] = val
-		}
-		if err := emit(i, BatchItem{Ranked: append([]RankedDB(nil), val...)}); err != nil {
+		if err := emit(i, item); err != nil {
 			return err
 		}
 	}
@@ -149,21 +108,26 @@ func (s *Service) RankBatchStream(queries []string, algName string, k int, emit 
 	return nil
 }
 
-// rankBatchLeader computes one batch item as its flight's leader,
-// fulfilling exactly once even if scoring panics — the same discipline as
-// the single-query path, so a follower can never block forever.
-func (s *Service) rankBatchLeader(key rankCacheKey, f *flight, snap *snapshotSet, alg selection.Algorithm, scr *rankScratch, k int) []RankedDB {
-	fulfilled := false
-	defer func() {
-		if r := recover(); r != nil {
-			if !fulfilled {
-				s.fulfillFlight(key, f, nil, fmt.Errorf("service: rank panicked: %v", r))
-			}
-			panic(r)
+// rankBatchItem ranks one batch query: within-batch duplicates are served
+// from seen, everything else goes through rankKeyed. A failed ranking (its
+// flight's leader panicked) stays out of seen, so a later duplicate
+// retries fresh instead of inheriting the failure.
+func (s *Service) rankBatchItem(snap *snapshotSet, alg selection.Algorithm, algName string, scr *rankScratch, query string, k int, seen map[string][]RankedDB, admit bool) (BatchItem, error) {
+	terms, err := s.termKey(scr, query)
+	if err != nil {
+		return BatchItem{}, err
+	}
+	val, ok := seen[terms]
+	if ok {
+		s.Metrics().Counter(`service_rank_coalesced_total{scope="batch"}`).Inc()
+	} else {
+		key := rankKey{query: terms, alg: algName, k: k, epoch: snap.epoch}
+		if val, _, err = s.rankKeyed(snap, alg, scr, key, admit); err != nil {
+			return BatchItem{}, err
 		}
-	}()
-	out := s.rankSnapshot(snap, alg, scr, k)
-	s.fulfillFlight(key, f, out, nil)
-	fulfilled = true
-	return out
+		if seen != nil {
+			seen[terms] = val
+		}
+	}
+	return BatchItem{Ranked: append([]RankedDB(nil), val...)}, nil
 }

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/analysis"
+	"repro/internal/httpapi"
 )
 
 // TestRankBatchMatchesSequential is the batch-vs-sequential property test:
@@ -102,9 +103,9 @@ func TestHTTPRankBatch(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(ts.Close)
 
-	var out batchRankResponse
+	var out httpapi.BatchResponse
 	resp := postJSON(t, ts.URL+"/rank/batch",
-		batchRankRequest{Queries: []string{"system data", "the and of"}, Alg: "cori", K: 2}, &out)
+		httpapi.BatchRequest{Queries: []string{"system data", "the and of"}, Alg: "cori", K: 2}, &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: status %d", resp.StatusCode)
 	}
@@ -119,12 +120,12 @@ func TestHTTPRankBatch(t *testing.T) {
 		t.Errorf("GET /rank/batch: status %d, want 405", resp.StatusCode)
 	}
 	resp = postJSON(t, ts.URL+"/rank/batch",
-		batchRankRequest{Queries: make([]string, MaxBatchQueries+1), Alg: "cori"}, nil)
+		httpapi.BatchRequest{Queries: make([]string, httpapi.MaxBatchQueries+1), Alg: "cori"}, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("oversize batch: status %d, want 400", resp.StatusCode)
 	}
 	resp = postJSON(t, ts.URL+"/rank/batch",
-		batchRankRequest{Queries: []string{"data"}, Alg: "bogus-alg"}, nil)
+		httpapi.BatchRequest{Queries: []string{"data"}, Alg: "bogus-alg"}, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad algorithm: status %d, want 400", resp.StatusCode)
 	}
@@ -153,9 +154,9 @@ func TestHTTPAdmissionOverload(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without a Retry-After header")
 	}
-	var batch batchRankResponse
+	var batch httpapi.BatchResponse
 	if resp := postJSON(t, ts.URL+"/rank/batch",
-		batchRankRequest{Queries: []string{"data"}, Alg: "cori"}, nil); resp.StatusCode != http.StatusTooManyRequests {
+		httpapi.BatchRequest{Queries: []string{"data"}, Alg: "cori"}, nil); resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated batch: status %d, want 429", resp.StatusCode)
 	}
 	if shedCap.Value() != 2 {
@@ -171,7 +172,7 @@ func TestHTTPAdmissionOverload(t *testing.T) {
 		t.Fatal("post-release rank returned no rows")
 	}
 	if resp := postJSON(t, ts.URL+"/rank/batch",
-		batchRankRequest{Queries: []string{"data"}, Alg: "cori"}, &batch); resp.StatusCode != http.StatusOK {
+		httpapi.BatchRequest{Queries: []string{"data"}, Alg: "cori"}, &batch); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-release batch: status %d, want 200", resp.StatusCode)
 	}
 	if shedCap.Value() != 2 {
@@ -204,9 +205,9 @@ func TestHTTPAdmissionDegradesK(t *testing.T) {
 	if len(ranked) != 2 {
 		t.Errorf("degraded rank returned %d rows, want 2", len(ranked))
 	}
-	var batch batchRankResponse
+	var batch httpapi.BatchResponse
 	resp = postJSON(t, ts.URL+"/rank/batch",
-		batchRankRequest{Queries: []string{"system data"}, Alg: "cori", K: 5}, &batch)
+		httpapi.BatchRequest{Queries: []string{"system data"}, Alg: "cori", K: 5}, &batch)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("degraded batch: status %d", resp.StatusCode)
 	}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/httpapi"
 	"repro/internal/telemetry"
 )
 
@@ -23,12 +23,7 @@ import (
 //	DELETE /databases/{name}
 //	POST   /databases/{name}/sample        SampleOptions (all optional)
 //	GET    /databases/{name}/summary?metric=avg-tf&k=20
-//	GET    /rank?q=apple+pie&alg=cori&k=5  -> []RankedDB
-//	POST   /rank/batch                     {"queries":[...],"alg":"cori","k":5}
-//	                                       -> {"results":[{"ranked":[...]}...]}
-//	POST   /rank/batch?stream=1            same body -> NDJSON frames, one per
-//	                                       query as it completes (SSE with
-//	                                       Accept: text/event-stream)
+//	GET    /rank, POST /rank/batch         the shared rank surface (httpapi)
 //	GET    /healthz
 //	GET    /metrics                        (when SetMetrics was called;
 //	                                        JSON or Prometheus text per Accept)
@@ -39,25 +34,12 @@ import (
 // for sampling requests — propagated down through the netsearch wire
 // protocol so remote-side logs correlate with the originating request.
 
-// traceKey is the context key the middleware stores the request's trace
-// ID under.
-type traceKey struct{}
-
-// TraceFromContext returns the trace ID the HTTP middleware assigned to
-// this request ("" outside a traced request).
-func TraceFromContext(ctx context.Context) string {
-	id, _ := ctx.Value(traceKey{}).(string)
-	return id
-}
-
 // Handler returns the HTTP handler for the service.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	mux.HandleFunc("/rank", s.handleRank)
-	mux.HandleFunc("/rank/batch", s.handleRankBatch)
 	mux.HandleFunc("/databases", s.handleDatabases)
 	mux.HandleFunc("/databases/", s.handleDatabase)
 	// The registry is resolved per request, so SetMetrics works whether
@@ -77,213 +59,59 @@ func (s *Service) Handler() http.Handler {
 		}
 		http.NotFound(w, r)
 	})
-	return s.instrument(mux)
-}
-
-// statusWriter records the status code a handler wrote.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// Flush forwards to the wrapped writer so streamed responses (POST
-// /rank/batch?stream=1) push each frame through the middleware instead of
-// buffering until the handler returns.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
+	surface := &httpapi.Surface{
+		Tier:    "service",
+		Metrics: s.Metrics,
+		Logger:  s.log,
+		Gate:    s.gate.Load,
+		Traces:  s.traces,
+		// X-Cache reports how the result was served: "hit" (cached,
+		// including single-flight waits on an identical in-flight query),
+		// "miss" (computed and cached), or "bypass" (cache disabled or bad
+		// request).
+		Rank: func(query, alg string, k int, _ string) ([]RankedDB, string, error) {
+			return s.rankCached(query, alg, k)
+		},
+		Batch: func(queries []string, alg string, k int, _ string) ([]BatchItem, error) {
+			return s.RankBatch(queries, alg, k)
+		},
+		Stream: func(queries []string, alg string, k int, _ string, emit func(int, BatchItem) error) error {
+			return s.RankBatchStream(queries, alg, k, emit)
+		},
 	}
-}
-
-// instrument wraps the API mux with the observability middleware: trace
-// ID assignment, per-status-class counters (http_responses_total and the
-// 4xx/5xx satellites), request latency, and one structured log line per
-// request.
-func (s *Service) instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		reg, lg := s.Metrics(), s.log()
-		trace := r.Header.Get("X-Trace-Id")
-		if trace == "" {
-			trace = s.traces.Next()
-		}
-		w.Header().Set("X-Trace-Id", trace)
-		r = r.WithContext(context.WithValue(r.Context(), traceKey{}, trace))
-
-		sp := reg.StartSpan("http_request_seconds")
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		next.ServeHTTP(sw, r)
-		d := sp.End()
-
-		class := fmt.Sprintf("%dxx", sw.status/100)
-		reg.Counter("http_requests_total").Inc()
-		reg.Counter(`http_responses_total{class="` + class + `"}`).Inc()
-		switch {
-		case sw.status >= 500:
-			reg.Counter("http_5xx_total").Inc()
-		case sw.status >= 400:
-			reg.Counter("http_4xx_total").Inc()
-		}
-		lg.Info("http request",
-			"method", r.Method, "path", r.URL.Path, "status", sw.status,
-			"elapsed", d, telemetry.TraceKey, trace)
-	})
-}
-
-type httpError struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, httpError{Error: err.Error()})
-}
-
-// shed answers a load-shed request: 429 with the gate's Retry-After hint.
-// Shared verbatim by the single-process service and the cluster front so
-// clients see one overload contract everywhere.
-func shed(w http.ResponseWriter, retryAfterSeconds int) {
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-	writeJSON(w, http.StatusTooManyRequests,
-		httpError{Error: "service overloaded, retry later"})
-}
-
-func (s *Service) handleRank(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	gate := s.gate.Load()
-	ticket, ok := gate.Admit()
-	if !ok {
-		shed(w, gate.RetryAfterSeconds())
-		return
-	}
-	defer ticket.Release()
-	q := r.URL.Query()
-	k, _ := strconv.Atoi(q.Get("k"))
-	if clamped := ticket.ClampK(k); clamped != k {
-		k = clamped
-		w.Header().Set("X-Degraded-K", strconv.Itoa(k))
-	}
-	ranked, cacheStatus, err := s.rankCached(q.Get("q"), q.Get("alg"), k)
-	// X-Cache reports how the result was served: "hit" (cached, including
-	// single-flight waits on an identical in-flight query), "miss"
-	// (computed and cached), or "bypass" (cache disabled or bad request).
-	w.Header().Set("X-Cache", cacheStatus)
-	if err != nil {
-		// statusFor keeps blame where it belongs: only ErrInvalid (bad
-		// algorithm, unusable query) is the client's 400. A snapshot
-		// compile failure or an unready federation is the service's
-		// problem and must surface as 5xx — the cluster front tier's
-		// failover logic keys off that distinction.
-		writeErr(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ranked)
-}
-
-// batchRankRequest is the POST /rank/batch body, shared with the cluster
-// front so one client speaks to both surfaces.
-type batchRankRequest struct {
-	Queries []string `json:"queries"`
-	Alg     string   `json:"alg,omitempty"`
-	K       int      `json:"k,omitempty"`
-}
-
-// batchRankResponse is the POST /rank/batch reply: one item per query, in
-// request order. Degraded reports that admission control clamped k.
-type batchRankResponse struct {
-	Results  []BatchItem `json:"results"`
-	Degraded bool        `json:"degraded,omitempty"`
-}
-
-// MaxBatchQueries bounds one batch request; a larger batch is the
-// client's mistake (400), not an invitation to unbounded work per
-// admission slot.
-const MaxBatchQueries = 1024
-
-func (s *Service) handleRankBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
-	var req batchRankRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Queries) > MaxBatchQueries {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("batch of %d queries exceeds the %d-query limit: %w",
-				len(req.Queries), MaxBatchQueries, ErrInvalid))
-		return
-	}
-	// One batch holds one admission slot: the in-flight unit is the
-	// request (what bounds memory and scatter fan-out), not the query.
-	gate := s.gate.Load()
-	ticket, ok := gate.Admit()
-	if !ok {
-		shed(w, gate.RetryAfterSeconds())
-		return
-	}
-	defer ticket.Release()
-	k := ticket.ClampK(req.K)
-	if k != req.K {
-		w.Header().Set("X-Degraded-K", strconv.Itoa(k))
-	}
-	if WantStream(r) {
-		s.streamRankBatch(w, r, req, k, k != req.K)
-		return
-	}
-	items, err := s.RankBatch(req.Queries, req.Alg, k)
-	if err != nil {
-		writeErr(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, batchRankResponse{Results: items, Degraded: k != req.K})
+	return surface.Handler(mux)
 }
 
 func (s *Service) handleDatabases(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		writeJSON(w, http.StatusOK, s.Databases())
+		httpapi.WriteJSON(w, http.StatusOK, s.Databases())
 	case http.MethodPost:
 		var req struct {
 			Name string `json:"name"`
 			Addr string `json:"addr"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !httpapi.Decode(w, r, &req) {
 			return
 		}
 		if req.Addr == "" {
-			writeErr(w, http.StatusBadRequest, errors.New("addr is required"))
+			httpapi.WriteErr(w, http.StatusBadRequest, errors.New("addr is required"))
 			return
 		}
 		// An empty (or "/"-only) name would register a database that
 		// /databases/{name} can never route to — it could never be
 		// sampled or unregistered over HTTP. Reject it up front.
 		if err := ValidateName(req.Name); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			httpapi.WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 		if err := s.Register(req.Name, req.Addr); err != nil {
-			writeErr(w, http.StatusConflict, err)
+			httpapi.WriteErr(w, http.StatusConflict, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, map[string]string{"registered": req.Name})
+		httpapi.WriteJSON(w, http.StatusCreated, map[string]string{"registered": req.Name})
 	default:
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("GET or POST"))
+		httpapi.WriteErr(w, http.StatusMethodNotAllowed, errors.New("GET or POST"))
 	}
 }
 
@@ -295,11 +123,11 @@ func (s *Service) handleDatabase(w http.ResponseWriter, r *http.Request) {
 	parts := strings.SplitN(rest, "/", 2)
 	name, err := url.PathUnescape(parts[0])
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad database name %q: %w", parts[0], err))
+		httpapi.WriteErr(w, http.StatusBadRequest, fmt.Errorf("bad database name %q: %w", parts[0], err))
 		return
 	}
 	if name == "" {
-		writeErr(w, http.StatusNotFound, errors.New("missing database name"))
+		httpapi.WriteErr(w, http.StatusNotFound, errors.New("missing database name"))
 		return
 	}
 	action := ""
@@ -309,54 +137,36 @@ func (s *Service) handleDatabase(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case action == "" && r.Method == http.MethodDelete:
 		if err := s.Unregister(name); err != nil {
-			writeErr(w, statusFor(err), err)
+			httpapi.WriteErr(w, httpapi.StatusFor(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]string{"deleted": name})
 	case action == "sample" && r.Method == http.MethodPost:
 		var opts SampleOptions
 		// An empty body means default options.
 		if err := json.NewDecoder(r.Body).Decode(&opts); err != nil && !errors.Is(err, io.EOF) {
-			writeErr(w, http.StatusBadRequest, err)
+			httpapi.WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 		// The run inherits the request's trace ID; the service pushes it
 		// down to the netsearch frames the run sends.
-		opts.TraceID = TraceFromContext(r.Context())
+		opts.TraceID = httpapi.TraceFromContext(r.Context())
 		st, err := s.Sample(name, opts)
 		if err != nil {
-			writeErr(w, statusFor(err), err)
+			httpapi.WriteErr(w, httpapi.StatusFor(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		httpapi.WriteJSON(w, http.StatusOK, st)
 	case action == "summary" && r.Method == http.MethodGet:
 		q := r.URL.Query()
 		k, _ := strconv.Atoi(q.Get("k"))
 		rows, err := s.Summary(name, q.Get("metric"), k)
 		if err != nil {
-			writeErr(w, statusFor(err), err)
+			httpapi.WriteErr(w, httpapi.StatusFor(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, rows)
+		httpapi.WriteJSON(w, http.StatusOK, rows)
 	default:
-		writeErr(w, http.StatusNotFound, errors.New("unknown endpoint"))
-	}
-}
-
-// statusFor distinguishes the caller's mistakes (400), unknown names
-// (404), a federation that has not learned any models yet (503), and
-// genuine upstream failures (502). Before ErrInvalid existed, every
-// non-404 error — including an unknown metric name — was blamed on the
-// remote database with a 502.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, ErrUnknownDatabase):
-		return http.StatusNotFound
-	case errors.Is(err, ErrInvalid):
-		return http.StatusBadRequest
-	case errors.Is(err, ErrNoModels):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusBadGateway
+		httpapi.WriteErr(w, http.StatusNotFound, errors.New("unknown endpoint"))
 	}
 }

@@ -23,9 +23,11 @@ import (
 	"repro/internal/admission"
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/httpapi"
 	"repro/internal/langmodel"
 	"repro/internal/netsearch"
 	"repro/internal/parallel"
+	"repro/internal/rankcache"
 	"repro/internal/selection"
 	"repro/internal/store"
 	"repro/internal/summarize"
@@ -33,12 +35,12 @@ import (
 )
 
 // ErrUnknownDatabase is returned for operations on unregistered names.
-var ErrUnknownDatabase = errors.New("service: unknown database")
+var ErrUnknownDatabase = httpapi.ErrUnknownDatabase
 
 // ErrInvalid marks arguments the caller got wrong (unknown metric or
 // algorithm, unusable query). The HTTP layer maps it to 400 rather than
 // blaming the upstream database with a 502.
-var ErrInvalid = errors.New("invalid argument")
+var ErrInvalid = httpapi.ErrInvalid
 
 // ErrCircuitOpen is reported by SampleAll for databases whose circuit
 // breaker has tripped. A direct Sample call is the half-open probe: it
@@ -49,7 +51,14 @@ var ErrCircuitOpen = errors.New("service: circuit open")
 // learned model yet. It is a service-state condition, not a client
 // mistake: the HTTP layer maps it to 503, and a cluster shard reports an
 // empty partial ranking instead of failing the whole scatter.
-var ErrNoModels = errors.New("service: no databases have learned models yet")
+var ErrNoModels = httpapi.ErrNoModels
+
+// errNoTerms refuses a query the analyzer reduces to nothing.
+var errNoTerms = fmt.Errorf("service: query has no index terms: %w", ErrInvalid)
+
+// DefaultRankCacheSize is the default capacity of the selection result
+// cache (entries, across all epochs).
+const DefaultRankCacheSize = 1024
 
 // ErrExists marks a registration of a name that is already registered.
 // The cluster front tier treats it as success so that replica-fan-out
@@ -178,20 +187,16 @@ type Service struct {
 	vocab      []string
 	vocabJoins []*langmodel.Model
 
-	// Query-serving state (snapshot.go, cache.go): gen counts model-set
-	// generations (bumped under mu whenever served models change), snap is
-	// the RCU-published compiled snapshot, compileMu single-flights
-	// rebuilds, and cache holds recent selection results (nil = disabled).
+	// Query-serving state (snapshot.go): gen counts model-set generations
+	// (bumped under mu whenever served models change), snap is the
+	// RCU-published compiled snapshot, and compileMu single-flights
+	// rebuilds. cache holds recent selection results and single-flights
+	// identical rank work in progress across every serving path; its LRU
+	// can be disabled, its coalescing — correctness-neutral — cannot.
 	gen       atomic.Uint64
 	snap      atomic.Pointer[snapshotSet]
 	compileMu sync.Mutex
-	cache     atomic.Pointer[rankCache]
-
-	// coal single-flights identical in-flight rank work across every
-	// serving path (coalesce.go). Unlike cache it is never nil: coalescing
-	// is a correctness-neutral dedup of concurrent identical computation,
-	// not a tunable store.
-	coal *coalescer
+	cache     *rankcache.Cache[rankKey, []RankedDB]
 
 	// gate is the admission controller for the rank endpoints (nil, the
 	// default, admits everything; see SetAdmission and DESIGN.md §14).
@@ -231,21 +236,23 @@ func New(an analysis.Analyzer, st *store.Store) *Service {
 		entries:   make(map[string]*entry),
 		vocabRefs: make(map[string]int32),
 		tripAfter: DefaultTripThreshold,
-		coal:      newCoalescer(),
 	}
-	s.cache.Store(newRankCache(DefaultRankCacheSize))
+	s.cache = rankcache.New[rankKey, []RankedDB](DefaultRankCacheSize, rankcache.Hooks{
+		Hit:  func() { s.Metrics().Counter("service_select_cache_hits_total").Inc() },
+		Miss: func() { s.Metrics().Counter("service_select_cache_misses_total").Inc() },
+		Join: func() { s.Metrics().Counter(`service_rank_coalesced_total{scope="flight"}`).Inc() },
+		// Tests assert the gauge returns to zero: a leaked flight would
+		// wedge every future identical query.
+		Flights: func(delta int) { s.Metrics().Gauge("service_rank_flights_inflight").Add(int64(delta)) },
+	})
 	return s
 }
 
 // SetRankCacheSize resizes the selection result cache (default
 // DefaultRankCacheSize entries); n <= 0 disables result caching. Resizing
-// installs a fresh, empty cache.
+// empties the cache.
 func (s *Service) SetRankCacheSize(n int) {
-	if n <= 0 {
-		s.cache.Store(nil)
-		return
-	}
-	s.cache.Store(newRankCache(n))
+	s.cache.Resize(n)
 }
 
 // SetAdmission installs admission control on the rank endpoints (GET
@@ -779,11 +786,9 @@ func (s *Service) SampleAll(opts SampleOptions, parallelism int) (map[string]DBS
 	return statuses, errs
 }
 
-// RankedDB is one row of a selection ranking.
-type RankedDB struct {
-	Name  string  `json:"name"`
-	Score float64 `json:"score"`
-}
+// RankedDB is one row of a selection ranking — the same type the cluster
+// wire carries, so no tier converts rows.
+type RankedDB = netsearch.RankedDB
 
 // dbLabel renders a registered database name as a Prometheus label set
 // fragment, escaping the three characters the text format reserves.
@@ -824,9 +829,9 @@ func parseAlgorithm(algName string) (selection.Algorithm, error) {
 }
 
 // rankScratch is the per-query working memory of the serving path — token
-// list, interned term ids, dense scores, ranking — recycled through a pool
-// so a cache-missing Rank allocates only the result it returns (and a
-// cache-hitting one only the copy it hands back).
+// list, term key, interned term ids, dense scores, ranking — recycled
+// through a pool so a cache-missing Rank allocates only the result it
+// returns (and a cache-hitting one only the copy it hands back).
 type rankScratch struct {
 	terms  []string
 	ids    []int32
@@ -836,6 +841,21 @@ type rankScratch struct {
 }
 
 var rankScratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
+
+// rankKey identifies one ranking: analyzed terms, algorithm, cutoff and
+// snapshot epoch. Keying on the epoch makes invalidation free — a
+// resample bumps the generation, new queries key into new entries, and
+// the old generation's entries age out of the LRU — and makes cross-epoch
+// coalescing impossible by construction.
+type rankKey struct {
+	// query is the analyzed terms joined with 0x1f (a byte the tokenizer
+	// never emits), so equal term sequences collide and raw query spelling
+	// does not.
+	query string
+	alg   string
+	k     int
+	epoch uint64
+}
 
 // Rank scores every database with a learned model against the query and
 // returns them best first. algName is "cori" (default), "gloss-sum" or
@@ -873,94 +893,58 @@ func (s *Service) rank(query string, algName string, k int) ([]RankedDB, string,
 	if err != nil {
 		return nil, "bypass", err
 	}
-
 	scr := rankScratchPool.Get().(*rankScratch)
 	defer rankScratchPool.Put(scr)
-
-	scr.terms = s.analyzer.AppendTokens(scr.terms[:0], query)
-	if len(scr.terms) == 0 {
-		return nil, "bypass", fmt.Errorf("service: query has no index terms: %w", ErrInvalid)
+	terms, err := s.termKey(scr, query)
+	if err != nil {
+		return nil, "bypass", err
 	}
 	snap := s.snapshot()
 	if snap.compiled.NumDBs() == 0 {
 		return nil, "bypass", ErrNoModels
 	}
-
-	cache := s.cache.Load()
-	scr.key = scr.key[:0]
-	for i, t := range scr.terms {
-		if i > 0 {
-			scr.key = append(scr.key, 0x1f) // never produced by the tokenizer
-		}
-		scr.key = append(scr.key, t...)
+	key := rankKey{query: terms, alg: alg.Name(), k: k, epoch: snap.epoch}
+	out, how, err := s.rankKeyed(snap, alg, scr, key, true)
+	status := "miss"
+	switch {
+	case how == rankcache.Bypass:
+		status = "bypass" // cache disabled; coalescing still applies
+	case how == rankcache.Hit, how == rankcache.Joined && err == nil:
+		status = "hit"
 	}
-	key := rankCacheKey{query: string(scr.key), alg: alg.Name(), k: k, epoch: snap.epoch}
-	status := "bypass" // cache disabled; coalescing still applies
-	if cache != nil {
-		if val, ok := cache.probe(key); ok {
-			s.Metrics().Counter("service_select_cache_hits_total").Inc()
-			return append([]RankedDB(nil), val...), "hit", nil
-		}
-		status = "miss"
-	}
-	f, leader := s.joinFlight(key)
-	if !leader {
-		reg := s.Metrics()
-		reg.Counter(`service_rank_coalesced_total{scope="flight"}`).Inc()
-		<-f.ready
-		if f.err != nil {
-			return nil, status, f.err
-		}
-		if cache != nil {
-			// The flight's leader may have been a batch (which never admits
-			// into the LRU); the single-query path wants this result cached.
-			cache.add(key, f.val)
-			reg.Counter("service_select_cache_hits_total").Inc()
-			status = "hit"
-		}
-		return append([]RankedDB(nil), f.val...), status, nil
-	}
-	if cache != nil {
-		s.Metrics().Counter("service_select_cache_misses_total").Inc()
-	}
-	// The leader owes fulfill exactly once. If scoring panics (e.g.
-	// rankSnapshot's defensive "not compiled" panic, recovered by
-	// net/http), publish an error — unblocking every waiter and retiring
-	// the flight — before letting the panic propagate.
-	fulfilled := false
-	defer func() {
-		if r := recover(); r != nil {
-			if !fulfilled {
-				s.fulfillFlight(key, f, nil, fmt.Errorf("service: rank panicked: %v", r))
-			}
-			panic(r)
-		}
-	}()
-	out := s.rankSnapshot(snap, alg, scr, k)
-	s.fulfillFlight(key, f, out, nil)
-	fulfilled = true
-	if cache != nil {
-		cache.add(key, out)
+	if err != nil {
+		return nil, status, err
 	}
 	// Hand back a copy: the cached slice is shared with followers and hits.
 	return append([]RankedDB(nil), out...), status, nil
 }
 
-// joinFlight enters the coalescer for key, maintaining the
-// service_rank_flights_inflight gauge (tests assert it returns to zero —
-// a leaked flight would wedge every future identical query).
-func (s *Service) joinFlight(key rankCacheKey) (*flight, bool) {
-	f, leader := s.coal.join(key)
-	if leader {
-		s.Metrics().Gauge("service_rank_flights_inflight").Set(int64(s.coal.inflight()))
+// termKey analyzes query into scr.terms and returns its term key: the
+// terms joined with 0x1f, a byte the tokenizer never emits. A query with
+// no index terms is the caller's mistake.
+func (s *Service) termKey(scr *rankScratch, query string) (string, error) {
+	scr.terms = s.analyzer.AppendTokens(scr.terms[:0], query)
+	if len(scr.terms) == 0 {
+		return "", errNoTerms
 	}
-	return f, leader
+	scr.key = scr.key[:0]
+	for i, t := range scr.terms {
+		if i > 0 {
+			scr.key = append(scr.key, 0x1f)
+		}
+		scr.key = append(scr.key, t...)
+	}
+	return string(scr.key), nil
 }
 
-// fulfillFlight publishes a leader's result and drops the in-flight gauge.
-func (s *Service) fulfillFlight(key rankCacheKey, f *flight, val []RankedDB, err error) {
-	s.coal.fulfill(key, f, val, err)
-	s.Metrics().Gauge("service_rank_flights_inflight").Set(int64(s.coal.inflight()))
+// rankKeyed is the per-query core every rank path funnels into: rank the
+// terms in scr against snap through the result cache, which serves the
+// LRU (when admit), joins an identical ranking in progress, or computes.
+// The result is shared with the cache; callers copy before handing it out.
+func (s *Service) rankKeyed(snap *snapshotSet, alg selection.Algorithm, scr *rankScratch, key rankKey, admit bool) ([]RankedDB, rankcache.Outcome, error) {
+	return s.cache.Do(key, admit, func() ([]RankedDB, error) {
+		return s.rankSnapshot(snap, alg, scr, key.k), nil
+	})
 }
 
 // rankSnapshot scores and ranks against a compiled snapshot using the

@@ -13,8 +13,10 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/langmodel"
+	"repro/internal/rankcache"
 	"repro/internal/selection"
 	"repro/internal/telemetry"
 )
@@ -57,7 +59,10 @@ func TestRankCacheHitAndMissCounters(t *testing.T) {
 		t.Fatalf("cache hit returned different result:\n%+v\n%+v", first, second)
 	}
 	// Different k, algorithm, or term sequence are distinct keys.
-	for _, q := range []struct{ query, alg string; k int }{
+	for _, q := range []struct {
+		query, alg string
+		k          int
+	}{
 		{"system data language", "cori", 2},
 		{"system data language", "gloss-sum", 0},
 		{"system data", "cori", 0},
@@ -138,84 +143,93 @@ func TestRankCacheDisabled(t *testing.T) {
 }
 
 func TestRankCacheLRUBound(t *testing.T) {
-	c := newRankCache(3)
+	c := rankcache.New[rankKey, []RankedDB](3, rankcache.Hooks{})
+	add := func(q string, score float64) rankcache.Outcome {
+		_, how, _ := c.Do(rankKey{query: q}, true, func() ([]RankedDB, error) {
+			return []RankedDB{{Name: q, Score: score}}, nil
+		})
+		return how
+	}
 	for _, q := range []string{"a", "b", "c", "d", "e"} {
-		c.add(rankCacheKey{query: q}, []RankedDB{{Name: q}})
+		add(q, 1)
 	}
 	if c.Len() != 3 {
 		t.Fatalf("cache holds %d entries, cap 3", c.Len())
 	}
 	// "c","d","e" should remain; touching "c" then inserting evicts "d".
-	if _, ok := c.probe(rankCacheKey{query: "c"}); !ok {
+	if add("c", 1) != rankcache.Hit {
 		t.Fatal("entry c was evicted prematurely")
 	}
-	c.add(rankCacheKey{query: "f"}, []RankedDB{{Name: "f"}})
-	if _, ok := c.probe(rankCacheKey{query: "d"}); ok {
+	add("f", 1)
+	if add("d", 1) == rankcache.Hit {
 		t.Fatal("LRU entry d survived eviction")
 	}
-	// Duplicate adds are idempotent: same key refreshes in place.
-	c.add(rankCacheKey{query: "c"}, []RankedDB{{Name: "c", Score: 2}})
-	if c.Len() != 3 {
-		t.Fatalf("idempotent add grew the cache to %d entries", c.Len())
+	// Resizing empties the cache; re-adding refreshes without growing.
+	c.Resize(3)
+	add("c", 2)
+	add("c", 3)
+	if c.Len() != 1 {
+		t.Fatalf("re-adding one key grew the cache to %d entries", c.Len())
 	}
-	if val, ok := c.probe(rankCacheKey{query: "c"}); !ok || val[0].Score != 2 {
-		t.Fatalf("refreshed entry c = %+v ok=%v", val, ok)
+	if val, how, _ := c.Do(rankKey{query: "c"}, true, nil); how != rankcache.Hit || val[0].Score != 2 {
+		t.Fatalf("entry c = %+v (outcome %v), want the cached first value", val, how)
 	}
 }
 
 func TestCoalescerSingleFlight(t *testing.T) {
-	co := newCoalescer()
-	key := rankCacheKey{query: "q"}
-	f, leader := co.join(key)
-	if !leader {
-		t.Fatal("first join not leader")
+	svc, reg := sampledFixture(t)
+	key := rankKey{query: "q"}
+	finish := leadFlight(t, svc, key)
+	if svc.cache.Inflight() != 1 {
+		t.Fatalf("inflight = %d, want 1", svc.cache.Inflight())
 	}
-	if co.inflight() != 1 {
-		t.Fatalf("inflight = %d, want 1", co.inflight())
+	if got := reg.Gauge("service_rank_flights_inflight").Value(); got != 1 {
+		t.Fatalf("in-flight gauge = %d, want 1", got)
 	}
 	const waiters = 8
-	var wg, joined sync.WaitGroup
+	var wg sync.WaitGroup
 	results := make([][]RankedDB, waiters)
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
-		joined.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			wf, wl := co.join(key)
-			joined.Done()
-			if wl {
+			results[i], _, _ = svc.cache.Do(key, false, func() ([]RankedDB, error) {
 				t.Errorf("waiter %d became leader", i)
-				co.fulfill(key, wf, nil, nil)
-				return
-			}
-			<-wf.ready
-			results[i] = wf.val
+				return nil, nil
+			})
 		}(i)
 	}
-	// Followers must join before the leader fulfills: fulfill retires the
-	// flight, so a straggler would (correctly) lead a fresh one.
-	joined.Wait()
+	// Followers must join before the leader finishes: the flight retires
+	// then, so a straggler would (correctly) lead a fresh one.
+	coalesced := reg.Counter(`service_rank_coalesced_total{scope="flight"}`)
+	for coalesced.Value() < waiters {
+		time.Sleep(time.Millisecond)
+	}
 	want := []RankedDB{{Name: "db1", Score: 1}}
-	co.fulfill(key, f, want, nil)
+	finish(want, nil)
 	wg.Wait()
 	for i, r := range results {
 		if !reflect.DeepEqual(r, want) {
 			t.Fatalf("waiter %d got %+v", i, r)
 		}
 	}
-	if co.inflight() != 0 {
-		t.Fatalf("inflight = %d after fulfill, want 0", co.inflight())
+	if svc.cache.Inflight() != 0 {
+		t.Fatalf("inflight = %d after fulfill, want 0", svc.cache.Inflight())
+	}
+	if got := reg.Gauge("service_rank_flights_inflight").Value(); got != 0 {
+		t.Fatalf("in-flight gauge = %d after fulfill, want 0", got)
 	}
 
 	// Errors reach current followers only: the flight is gone from the map
 	// at fulfill, so the next identical request starts fresh.
-	key2 := rankCacheKey{query: "err"}
-	f2, leader := co.join(key2)
-	if !leader {
-		t.Fatal("error-case join not leader")
-	}
-	co.fulfill(key2, f2, nil, errors.New("boom"))
-	if _, leader := co.join(key2); !leader {
+	key2 := rankKey{query: "err"}
+	leadFlight(t, svc, key2)(nil, errors.New("boom"))
+	led := false
+	svc.cache.Do(key2, false, func() ([]RankedDB, error) {
+		led = true
+		return nil, nil
+	})
+	if !led {
 		t.Fatal("failed flight stayed joinable")
 	}
 }
@@ -410,4 +424,33 @@ func TestChaosRankRCUStress(t *testing.T) {
 		t.Fatalf("final snapshot has %d DBs, want %d", got, len(dbs))
 	}
 	checkServedVocabulary(t, svc, "after the stress run")
+}
+
+// TestRankAllocs pins the rank paths' per-request allocations with a
+// registry installed: the shared cache, its closures and the generic code
+// must not add garbage to the point path. The bounds are the counts of the
+// hand-rolled cache and coalescer this path replaced.
+func TestRankAllocs(t *testing.T) {
+	svc, _ := sampledFixture(t)
+	if _, err := svc.Rank("system data", "cori", 3); err != nil {
+		t.Fatal(err)
+	}
+	hit := testing.AllocsPerRun(200, func() { svc.Rank("system data", "cori", 3) })
+	svc.SetRankCacheSize(0)
+	off := testing.AllocsPerRun(200, func() { svc.Rank("system data", "cori", 3) })
+	batch := []string{"system data", "market stock", "system data"}
+	batched := testing.AllocsPerRun(200, func() { svc.RankBatch(batch, "cori", 3) })
+	for _, c := range []struct {
+		name     string
+		got, max float64
+	}{
+		{"cache hit", hit, 10},
+		{"cache off", off, 13},
+		{"3-query batch with a duplicate", batched, 31},
+	} {
+		t.Logf("%s: %.0f allocs", c.name, c.got)
+		if c.got > c.max {
+			t.Errorf("%s: %.0f allocs per rank, want <= %.0f", c.name, c.got, c.max)
+		}
+	}
 }

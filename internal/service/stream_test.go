@@ -22,6 +22,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/httpapi"
+	"repro/internal/langmodel"
 	"repro/internal/telemetry"
 )
 
@@ -38,7 +40,7 @@ type streamFrame struct {
 
 // readStream POSTs a batch with ?stream=1 and decodes every frame,
 // stripping SSE framing when present.
-func readStream(t *testing.T, url string, req batchRankRequest, accept string) (*http.Response, []streamFrame) {
+func readStream(t *testing.T, url string, req httpapi.BatchRequest, accept string) (*http.Response, []streamFrame) {
 	t.Helper()
 	frames, resp, err := tryReadStream(url, req, accept)
 	if err != nil {
@@ -47,7 +49,7 @@ func readStream(t *testing.T, url string, req batchRankRequest, accept string) (
 	return resp, frames
 }
 
-func tryReadStream(url string, req batchRankRequest, accept string) ([]streamFrame, *http.Response, error) {
+func tryReadStream(url string, req httpapi.BatchRequest, accept string) ([]streamFrame, *http.Response, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, nil, err
@@ -94,7 +96,7 @@ func TestHTTPRankBatchStreamNDJSON(t *testing.T) {
 
 	queries := []string{"system data", "the and of", "market stock", "system data"}
 	resp, frames := readStream(t, ts.URL+"/rank/batch?stream=1",
-		batchRankRequest{Queries: queries, Alg: "cori", K: 2}, "")
+		httpapi.BatchRequest{Queries: queries, Alg: "cori", K: 2}, "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -143,7 +145,7 @@ func TestHTTPRankBatchStreamSSE(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	resp, frames := readStream(t, ts.URL+"/rank/batch?stream=1",
-		batchRankRequest{Queries: []string{"system data", "market"}, Alg: "cori", K: 2},
+		httpapi.BatchRequest{Queries: []string{"system data", "market"}, Alg: "cori", K: 2},
 		"text/event-stream")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -163,7 +165,7 @@ func TestHTTPRankBatchStreamWholeBatchError(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(ts.Close)
 
-	for _, req := range []batchRankRequest{
+	for _, req := range []httpapi.BatchRequest{
 		{Queries: []string{"data"}, Alg: "bogus-alg"},
 		{Queries: nil, Alg: "cori"},
 	} {
@@ -189,12 +191,8 @@ func TestHTTPRankBatchStreamDisconnect(t *testing.T) {
 	// server is deterministically blocked mid-stream — one frame out, the
 	// rest pending — while the client disconnects.
 	queries := []string{"system data", "market stock", "language model"}
-	key := flightKey(svc, "market stock", "cori", 2)
-	f, leader := svc.joinFlight(key)
-	if !leader {
-		t.Fatal("test could not lead the blocking flight")
-	}
-	body, err := json.Marshal(batchRankRequest{Queries: queries, Alg: "cori", K: 2})
+	finish := leadFlight(t, svc, flightKey(svc, "market stock", "cori", 2))
+	body, err := json.Marshal(httpapi.BatchRequest{Queries: queries, Alg: "cori", K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +215,7 @@ func TestHTTPRankBatchStreamDisconnect(t *testing.T) {
 	// Give the disconnect a moment to propagate to the server's context,
 	// then unblock the stream: its next emit must see the dead client.
 	time.Sleep(50 * time.Millisecond)
-	svc.fulfillFlight(key, f, []RankedDB{{Name: "x"}}, nil)
+	finish([]RankedDB{{Name: "x"}}, nil)
 
 	aborts := reg.Counter("service_stream_aborts_total")
 	deadline := time.Now().Add(5 * time.Second)
@@ -227,7 +225,7 @@ func TestHTTPRankBatchStreamDisconnect(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := svc.coal.inflight(); got != 0 {
+	if got := svc.cache.Inflight(); got != 0 {
 		t.Errorf("coalescer holds %d flights after disconnect, want 0", got)
 	}
 	if got := reg.Gauge("service_rank_flights_inflight").Value(); got != 0 {
@@ -244,11 +242,7 @@ func TestHTTPRankBatchStreamDisconnect(t *testing.T) {
 // and then fans out the leader's exact value.
 func TestBatchJoinsForeignFlight(t *testing.T) {
 	svc, reg := sampledFixture(t)
-	key := flightKey(svc, "system data", "cori", 2)
-	f, leader := svc.joinFlight(key)
-	if !leader {
-		t.Fatal("test could not lead the flight")
-	}
+	finish := leadFlight(t, svc, flightKey(svc, "system data", "cori", 2))
 
 	coalesced := reg.Counter(`service_rank_coalesced_total{scope="flight"}`)
 	type result struct {
@@ -270,7 +264,7 @@ func TestBatchJoinsForeignFlight(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	want := []RankedDB{{Name: "sentinel", Score: 42}}
-	svc.fulfillFlight(key, f, want, nil)
+	finish(want, nil)
 
 	r := <-done
 	if r.err != nil {
@@ -292,11 +286,7 @@ func TestBatchJoinsForeignFlight(t *testing.T) {
 // computes fresh and succeeds.
 func TestFlightErrorNotServedToLaterCallers(t *testing.T) {
 	svc, reg := sampledFixture(t)
-	key := flightKey(svc, "system data", "cori", 2)
-	f, leader := svc.joinFlight(key)
-	if !leader {
-		t.Fatal("test could not lead the flight")
-	}
+	finish := leadFlight(t, svc, flightKey(svc, "system data", "cori", 2))
 	coalesced := reg.Counter(`service_rank_coalesced_total{scope="flight"}`)
 	done := make(chan []BatchItem, 1)
 	go func() {
@@ -313,7 +303,7 @@ func TestFlightErrorNotServedToLaterCallers(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	svc.fulfillFlight(key, f, nil, errors.New("leader exploded"))
+	finish(nil, errors.New("leader exploded"))
 	items := <-done
 	if items == nil || items[0].Error != "leader exploded" {
 		t.Fatalf("concurrent follower item = %+v, want the flight's error", items)
@@ -331,43 +321,107 @@ func TestFlightErrorNotServedToLaterCallers(t *testing.T) {
 // TestRankBatchLeaderPanicRecovery: a panicking leader fulfills its flight
 // with an error before re-panicking, so followers never block forever.
 func TestRankBatchLeaderPanicRecovery(t *testing.T) {
-	svc, _ := sampledFixture(t)
+	svc, reg := sampledFixture(t)
 	key := flightKey(svc, "system data", "cori", 2)
-	f, leader := svc.joinFlight(key)
-	if !leader {
-		t.Fatal("test could not lead the flight")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("leader panic did not propagate")
-			}
-		}()
-		// nil snapshot makes rankSnapshot panic inside the leader.
-		svc.rankBatchLeader(key, f, nil, nil, nil, 2)
+	// An algorithm the compiled snapshot cannot score makes rankSnapshot
+	// panic inside the leader; its Name blocks until a follower has joined,
+	// because the panic message is built from it.
+	alg := blockingAlg{release: make(chan struct{})}
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		scr := new(rankScratch)
+		if _, err := svc.termKey(scr, "system data"); err != nil {
+			t.Error(err)
+		}
+		svc.rankKeyed(svc.snapshot(), alg, scr, key, false)
 	}()
-	select {
-	case <-f.ready:
-	default:
-		t.Fatal("panicked leader left its flight unfulfilled")
+	waitInflight(t, svc)
+	coalesced := reg.Counter(`service_rank_coalesced_total{scope="flight"}`)
+	follower := make(chan []BatchItem, 1)
+	go func() {
+		items, err := svc.RankBatch([]string{"system data"}, "cori", 2)
+		if err != nil {
+			t.Errorf("follower batch failed whole: %v", err)
+		}
+		follower <- items
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for coalesced.Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("batch item never joined the flight")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if f.err == nil || !strings.Contains(f.err.Error(), "panicked") {
-		t.Fatalf("flight error = %v, want a rank-panicked error", f.err)
+	close(alg.release)
+	if r := <-panicked; r == nil {
+		t.Error("leader panic did not propagate")
 	}
-	if svc.coal.inflight() != 0 {
-		t.Fatalf("inflight = %d after panic, want 0", svc.coal.inflight())
+	items := <-follower
+	if items == nil || !strings.Contains(items[0].Error, "panicked") {
+		t.Fatalf("follower item = %+v, want a rank-panicked error", items)
+	}
+	if svc.cache.Inflight() != 0 {
+		t.Fatalf("inflight = %d after panic, want 0", svc.cache.Inflight())
 	}
 }
 
-// flightKey builds the coalescer key the serving path would use for this
+// blockingAlg is an algorithm the compiled snapshot does not know.
+type blockingAlg struct{ release chan struct{} }
+
+func (a blockingAlg) Name() string {
+	<-a.release
+	return "blocking"
+}
+
+func (blockingAlg) Scores([]string, []*langmodel.Model) []float64 { return nil }
+
+// flightKey builds the cache key the serving path would use for this
 // query right now (current epoch, canonical algorithm spelling).
-func flightKey(svc *Service, query, alg string, k int) rankCacheKey {
+func flightKey(svc *Service, query, alg string, k int) rankKey {
 	terms := svc.analyzer.Tokens(query)
-	return rankCacheKey{
+	return rankKey{
 		query: strings.Join(terms, "\x1f"),
 		alg:   alg,
 		k:     k,
 		epoch: svc.snapshot().epoch,
+	}
+}
+
+// leadFlight makes the test the leader of key's flight. The flight stays
+// in progress — every identical ranking joins it — until finish publishes
+// val/err.
+func leadFlight(t *testing.T, svc *Service, key rankKey) (finish func(val []RankedDB, err error)) {
+	t.Helper()
+	type result struct {
+		val []RankedDB
+		err error
+	}
+	release := make(chan result)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		svc.cache.Do(key, false, func() ([]RankedDB, error) {
+			r := <-release
+			return r.val, r.err
+		})
+	}()
+	waitInflight(t, svc)
+	return func(val []RankedDB, err error) {
+		release <- result{val, err}
+		<-done
+	}
+}
+
+// waitInflight waits until a flight is in progress.
+func waitInflight(t *testing.T, svc *Service) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for svc.cache.Inflight() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no flight started")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -436,7 +490,7 @@ func TestChaosStreamCoalesceEpochSwap(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if got := svc.coal.inflight(); got != 0 {
+	if got := svc.cache.Inflight(); got != 0 {
 		t.Fatalf("coalescer holds %d flights after the dust settled, want 0", got)
 	}
 	if dups := reg.Counter(`service_rank_coalesced_total{scope="batch"}`).Value(); dups != 3*rounds*2 {

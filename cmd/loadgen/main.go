@@ -1,7 +1,7 @@
 // Command loadgen replays a reproducible, seeded Zipf query workload
 // against a selection-serving surface and writes a JSON report with
-// client-side QPS and exact latency quantiles — the numbers the
-// benchdiff gate diffs in CI (make load-smoke / load-gate).
+// client-side QPS and latency quantiles (bucketed, within 10% of exact) —
+// the numbers the benchdiff gate diffs in CI (make load-smoke / load-gate).
 //
 // Point it at a running selectd (single process or cluster front):
 //

@@ -14,19 +14,20 @@
 //     it sheds requests.
 //   - Latency shedding (MaxP99): when the windowed p99 of recently
 //     completed requests exceeds the bound, new arrivals are shed while
-//     the backlog drains. The window (telemetry.Window) forgets, so the
-//     gate reopens as soon as observed latency recovers; and the check
+//     the backlog drains. The window (two rotating histograms) forgets,
+//     so the gate reopens as soon as observed latency recovers; and the check
 //     only applies while other requests are in flight — an idle server
 //     always admits, which both prevents a stale window from wedging the
 //     gate shut and gives it fresh observations to recover with.
 //
 // Every threshold is off by default; a Gate with a zero Config (or a nil
 // *Gate) admits everything untouched. The gate is cheap enough for the
-// per-request path: one atomic add per admit/release plus an amortized
+// per-request path: one atomic add per admit/release plus a bucketed
 // windowed-quantile lookup when MaxP99 is set.
 package admission
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -81,7 +82,7 @@ func (c Config) withDefaults() Config {
 // path whether admission is configured or not.
 type Gate struct {
 	cfg    Config
-	window *telemetry.Window
+	window *window
 	now    func() time.Time
 
 	// n is the authoritative in-flight count; the gauge mirrors it so the
@@ -107,7 +108,7 @@ func New(cfg Config, reg *telemetry.Registry, prefix string) *Gate {
 	cfg = cfg.withDefaults()
 	return &Gate{
 		cfg:      cfg,
-		window:   telemetry.NewWindow(cfg.Window),
+		window:   newWindow(cfg.Window),
 		now:      time.Now,
 		inflight: reg.Gauge(prefix + "_rank_inflight"),
 		shedCap:  reg.Counter(prefix + `_shed_total{reason="inflight"}`),
@@ -151,7 +152,7 @@ func (g *Gate) Admit() (t *Ticket, ok bool) {
 	// n == 1 the server is idle, and admitting is both safe (nothing to
 	// protect) and necessary (the window needs fresh observations to ever
 	// report recovery).
-	if g.cfg.MaxP99 > 0 && n > 1 && g.window.Quantile(0.99) > g.cfg.MaxP99.Seconds() {
+	if g.cfg.MaxP99 > 0 && n > 1 && g.window.p99() > g.cfg.MaxP99.Seconds() {
 		g.n.Add(-1)
 		g.shedP99.Inc()
 		return nil, false
@@ -201,7 +202,7 @@ func (t *Ticket) Release() {
 	if t == nil {
 		return
 	}
-	t.g.window.Observe(t.g.now().Sub(t.start).Seconds())
+	t.g.window.observe(t.g.now().Sub(t.start).Seconds())
 	t.g.inflight.Set(t.g.n.Add(-1))
 }
 
@@ -211,4 +212,37 @@ func (g *Gate) InFlight() int64 {
 		return 0
 	}
 	return g.n.Load()
+}
+
+// window is MaxP99's signal: the latest completions in two generations of
+// half observations each. A full generation becomes the older one, so a
+// latency spike leaves within 2·half observations (one histogram would
+// stay poisoned after an overload episode).
+type window struct {
+	mu      sync.Mutex
+	gen     [2]*telemetry.Histogram // gen[0] is filling
+	n, half int                     // n observations in gen[0]
+}
+
+// newWindow returns an empty window over size observations (minimum 16);
+// it starts "full", so the first observation starts gen[0].
+func newWindow(size int) *window {
+	half := max(size/2, 8)
+	return &window{n: half, half: half}
+}
+
+func (w *window) observe(v float64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.n == w.half {
+		w.gen[0], w.gen[1], w.n = new(telemetry.Histogram), w.gen[0], 0
+	}
+	w.gen[0].Observe(v)
+	w.n++
+}
+
+func (w *window) p99() float64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return telemetry.QuantileOf(0.99, w.gen[0], w.gen[1])
 }

@@ -170,3 +170,39 @@ func TestGaugeTracksInFlight(t *testing.T) {
 		t.Errorf("inflight gauge after releases = %d, want 0", got)
 	}
 }
+
+// near reports whether a bucketed estimate is within one bucket width —
+// at most 10% of the value — of v.
+func near(got, v float64) bool { return got >= v*0.9 && got <= v*1.1 }
+
+func TestWindowForgets(t *testing.T) {
+	w := newWindow(16)
+	for i := 0; i < 16; i++ {
+		w.observe(1) // a slow episode (seconds) fills the window
+	}
+	if got := w.p99(); !near(got, 1) {
+		t.Fatalf("poisoned window p99 = %v, want ~1", got)
+	}
+	for i := 0; i < 16; i++ {
+		w.observe(1e-3) // recovery traffic pushes the episode out
+	}
+	if got := w.p99(); !near(got, 1e-3) {
+		t.Errorf("recovered window p99 = %v, want ~1e-3 (one histogram would still be poisoned)", got)
+	}
+}
+
+func TestWindowTracksEachObservation(t *testing.T) {
+	// The p99 reflects every observation as it arrives, from the first.
+	w := newWindow(64)
+	if got := w.p99(); got != 0 {
+		t.Fatalf("empty window p99 = %v, want 0", got)
+	}
+	w.observe(5e-3)
+	if got := w.p99(); !near(got, 5e-3) {
+		t.Fatalf("1-observation p99 = %v, want ~5e-3", got)
+	}
+	w.observe(7e-3)
+	if got := w.p99(); !near(got, 7e-3) {
+		t.Errorf("p99 after growth = %v, want ~7e-3", got)
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/experiments"
+	"repro/internal/httpapi"
 	"repro/internal/netsearch"
 	"repro/internal/service"
 	"repro/internal/telemetry"
@@ -172,6 +173,9 @@ func TestFrontFailoverOnReplicaError(t *testing.T) {
 	}
 	if !foundShardErr {
 		t.Error("no cluster_shard_errors{shard=...} counter was incremented")
+	}
+	if name := `cluster_shard_errors{shard="s0/` + f.reps[0][0].addr + `"}`; snap.Counters[name] != 1 {
+		t.Errorf("%s = %d, want 1", name, snap.Counters[name])
 	}
 }
 
@@ -416,6 +420,40 @@ func TestFrontHTTPRankMatchesDirectRank(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("HTTP ranking %+v != direct ranking %+v", got, want)
+	}
+}
+
+func TestFrontDiagnostics(t *testing.T) {
+	// The front mounts /metrics and /debug/vars itself; pprof is opt-in
+	// through httpapi.Pprof, the wrap selectd applies in every mode.
+	s := &stubShard{partial: []netsearch.RankedDB{{Name: "db-a", Score: 0.9}}}
+	status := func(h http.Handler, path string) int {
+		t.Helper()
+		srv := httptest.NewServer(h)
+		defer srv.Close()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	f := newTestFront(t, [][]string{{serveStub(t, s)}}, telemetry.NewRegistry())
+	for _, tc := range []struct {
+		name string
+		h    http.Handler
+		path string
+		want int
+	}{
+		{"pprof off", f.Handler(), "/debug/pprof/", http.StatusNotFound},
+		{"pprof on", httpapi.Pprof(f.Handler()), "/debug/pprof/", http.StatusOK},
+		{"metrics behind pprof", httpapi.Pprof(f.Handler()), "/metrics", http.StatusOK},
+		{"vars", f.Handler(), "/debug/vars", http.StatusOK},
+		{"metrics without a registry", newTestFront(t, [][]string{{serveStub(t, s)}}, nil).Handler(), "/metrics", http.StatusNotFound},
+	} {
+		if got := status(tc.h, tc.path); got != tc.want {
+			t.Errorf("%s: GET %s = %d, want %d", tc.name, tc.path, got, tc.want)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/admission"
+	"repro/internal/httpapi"
 	"repro/internal/netsearch"
 	"repro/internal/rankcache"
 	"repro/internal/service"
@@ -60,8 +61,9 @@ type Options struct {
 // stateless front must not depend on shard-side state to route around a
 // dead shard); it feeds the shared telemetry registry.
 type replica struct {
-	slot int
-	addr string
+	slot   int
+	addr   string
+	errors *telemetry.Counter // cluster_shard_errors{shard=…}
 
 	mu     sync.Mutex
 	client *netsearch.Client // lazily dialed; replaced when broken
@@ -100,6 +102,11 @@ type Front struct {
 	gate      *admission.Gate // nil unless Options.Admission enables it
 	cache     *rankcache.Cache[frontKey, []netsearch.RankedDB]
 	epoch     atomic.Uint64 // topology epoch: bumped per register/unregister
+
+	// Request-path instruments, bound from reg in NewFront.
+	http                          *httpapi.Metrics
+	scatterSeconds                *telemetry.Histogram
+	scatterErrors, coalescedBatch *telemetry.Counter
 }
 
 // frontKey identifies one fused ranking in the front's result cache. A
@@ -149,6 +156,11 @@ func NewFront(slots [][]string, opts Options) (*Front, error) {
 		traces:    telemetry.NewTraceIDs("req"),
 		gate:      admission.New(opts.Admission, opts.Metrics, "cluster"),
 	}
+	b := f.reg.Bind()
+	f.http = httpapi.NewMetrics(f.reg, "cluster")
+	f.scatterSeconds = f.reg.Histogram("cluster_scatter_seconds")
+	f.scatterErrors = b.Counter("cluster_scatter_errors_total")
+	f.coalescedBatch = b.Counter(`cluster_rank_coalesced_total{scope="batch"}`)
 	f.cache = rankcache.New[frontKey, []netsearch.RankedDB](opts.CacheSize, rankcache.Hooks{
 		Hit:  f.reg.Counter("cluster_select_cache_hits_total").Inc,
 		Miss: f.reg.Counter("cluster_select_cache_misses_total").Inc,
@@ -160,7 +172,8 @@ func NewFront(slots [][]string, opts Options) (*Front, error) {
 	for i, addrs := range slots {
 		f.reps[i] = make([]*replica, len(addrs))
 		for j, addr := range addrs {
-			f.reps[i][j] = &replica{slot: i, addr: addr}
+			f.reps[i][j] = &replica{slot: i, addr: addr,
+				errors: b.Counter(`cluster_shard_errors{shard="` + shardLabel(i, addr) + `"}`)}
 		}
 	}
 	return f, nil
@@ -408,7 +421,7 @@ func (r *replica) breakerOpen() bool {
 // error counter, the consecutive-failure count, and — past the trip
 // threshold — the breaker.
 func (f *Front) recordFailure(r *replica, err error) {
-	f.reg.Counter(`cluster_shard_errors{shard="` + shardLabel(r.slot, r.addr) + `"}`).Inc()
+	r.errors.Inc()
 	r.mu.Lock()
 	r.fails++
 	tripped := f.tripAfter > 0 && r.fails >= f.tripAfter && !r.open
@@ -435,7 +448,5 @@ func (f *Front) countFailover(slot int, why string) {
 // value (addresses come from the operator's topology spec, never from
 // clients, so cardinality is the cluster size).
 func shardLabel(slot int, addr string) string {
-	return labelEscaper.Replace(fmt.Sprintf("s%d/%s", slot, addr))
+	return telemetry.EscapeLabel(fmt.Sprintf("s%d/%s", slot, addr))
 }
-
-var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)

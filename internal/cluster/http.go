@@ -12,7 +12,6 @@ import (
 	"repro/internal/httpapi"
 	"repro/internal/netsearch"
 	"repro/internal/service"
-	"repro/internal/telemetry"
 )
 
 // Front HTTP API — the cluster's client-facing surface, mirroring the
@@ -45,23 +44,9 @@ func (f *Front) Handler() http.Handler {
 			"replicas": f.Health(),
 		})
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if f.reg != nil {
-			telemetry.Handler(f.reg).ServeHTTP(w, r)
-			return
-		}
-		http.NotFound(w, r)
-	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		if f.reg != nil {
-			telemetry.VarsHandler(f.reg).ServeHTTP(w, r)
-			return
-		}
-		http.NotFound(w, r)
-	})
 	surface := &httpapi.Surface{
 		Tier:    "cluster",
-		Metrics: func() *telemetry.Registry { return f.reg },
+		Metrics: func() *httpapi.Metrics { return f.http },
 		Logger:  func() *slog.Logger { return f.logger },
 		Gate:    func() *admission.Gate { return f.gate },
 		Traces:  f.traces,

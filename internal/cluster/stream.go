@@ -183,10 +183,11 @@ func (f *Front) rankStream(queries []string, alg string, k int, trace string, em
 	if len(queries) == 0 {
 		return httpapi.ErrEmptyBatch
 	}
-	defer f.reg.Timer("cluster_scatter_seconds")()
+	sp := f.scatterSeconds.Start()
+	defer sp.End()
 	uniq, pos := dedupQueries(queries)
 	if dups := len(queries) - len(uniq); dups > 0 {
-		f.reg.Counter(`cluster_rank_coalesced_total{scope="batch"}`).Add(int64(dups))
+		f.coalescedBatch.Add(int64(dups))
 	}
 	g := newGather(len(f.reps), len(uniq))
 	readers := parallel.NewGroup(len(f.reps))
@@ -233,7 +234,7 @@ func (f *Front) rankStream(queries []string, alg string, k int, trace string, em
 			}
 			if err := g.wait(pos[i], partials); err != nil {
 				if !errors.Is(err, netsearch.ErrStreamCanceled) {
-					f.reg.Counter("cluster_scatter_errors_total").Inc()
+					f.scatterErrors.Inc()
 				}
 				return err
 			}

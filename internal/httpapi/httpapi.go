@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 
 	"repro/internal/admission"
@@ -140,34 +141,46 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// responseClasses holds the http_responses_total counter name per status
-// class, so the middleware never formats a metric name per request.
-var responseClasses = [...]string{
-	`http_responses_total{class="0xx"}`,
-	`http_responses_total{class="1xx"}`,
-	`http_responses_total{class="2xx"}`,
-	`http_responses_total{class="3xx"}`,
-	`http_responses_total{class="4xx"}`,
-	`http_responses_total{class="5xx"}`,
+// Metrics are a Surface's request-path instruments. A tier binds them
+// once, when its registry is installed, and hands them to the Surface.
+type Metrics struct {
+	reg                       *telemetry.Registry // served at /metrics, /debug/vars
+	seconds                   *telemetry.Histogram
+	requests, r4xx, r5xx      *telemetry.Counter
+	classes                   [7]*telemetry.Counter // by status/100, then "other"
+	streamRanks, streamAborts *telemetry.Counter
 }
 
-func responseClass(status int) string {
-	if c := status / 100; c >= 0 && c < len(responseClasses) {
-		return responseClasses[c]
+// NewMetrics binds a Surface's instruments from reg (nil: discard); the
+// stream counters are <tier>_stream_ranks_total and _stream_aborts_total.
+func NewMetrics(reg *telemetry.Registry, tier string) *Metrics {
+	b := reg.Bind()
+	m := &Metrics{
+		reg:          reg,
+		seconds:      reg.Histogram("http_request_seconds"),
+		requests:     b.Counter("http_requests_total"),
+		r4xx:         b.Counter("http_4xx_total"),
+		r5xx:         b.Counter("http_5xx_total"),
+		streamRanks:  b.Counter(tier + "_stream_ranks_total"),
+		streamAborts: b.Counter(tier + "_stream_aborts_total"),
 	}
-	return `http_responses_total{class="other"}`
+	for c := range 6 {
+		m.classes[c] = b.Counter(`http_responses_total{class="` + strconv.Itoa(c) + `xx"}`)
+	}
+	m.classes[6] = b.Counter(`http_responses_total{class="other"}`)
+	return m
 }
 
 // Surface is one tier's HTTP serving surface. The tier supplies its
 // observability sinks, its admission gate and its rank functions; the
 // Surface supplies everything else.
 type Surface struct {
-	// Tier names the tier in log lines and prefixes its stream counters
-	// (<Tier>_stream_ranks_total, <Tier>_stream_aborts_total).
+	// Tier names the tier in log lines.
 	Tier string
 	// Metrics, Logger and Gate are resolved per request, so a tier may
-	// swap them at run time. A nil registry or gate disables that concern.
-	Metrics func() *telemetry.Registry
+	// swap them at run time; each must be cheap (an atomic load, not a
+	// lock). A nil gate admits everything.
+	Metrics func() *Metrics
 	Logger  func() *slog.Logger
 	Gate    func() *admission.Gate
 	// Traces mints trace IDs for requests that arrive without one.
@@ -186,18 +199,40 @@ type Surface struct {
 	// input order. Whole-batch failures must be returned before the first
 	// emit; an emit error must abort the stream and be returned.
 	Stream func(queries []string, alg string, k int, trace string, emit func(i int, item netsearch.RankedBatch) error) error
-
-	streamRanks, streamAborts string
 }
 
-// Handler routes the rank endpoints onto mux and returns mux wrapped in
-// the surface's middleware.
+// Handler routes the rank endpoints, /metrics and /debug/vars onto mux and
+// returns mux wrapped in the surface's middleware.
 func (s *Surface) Handler(mux *http.ServeMux) http.Handler {
-	s.streamRanks = s.Tier + "_stream_ranks_total"
-	s.streamAborts = s.Tier + "_stream_aborts_total"
 	mux.HandleFunc("/rank", s.handleRank)
 	mux.HandleFunc("/rank/batch", s.handleRankBatch)
+	mux.HandleFunc("/metrics", s.serveRegistry(telemetry.Handler))
+	mux.HandleFunc("/debug/vars", s.serveRegistry(telemetry.VarsHandler))
 	return s.instrument(mux)
+}
+
+// serveRegistry serves the current registry through handler (404: none).
+func (s *Surface) serveRegistry(handler func(*telemetry.Registry) http.Handler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if reg := s.Metrics().reg; reg != nil {
+			handler(reg).ServeHTTP(w, r)
+			return
+		}
+		http.NotFound(w, r)
+	}
+}
+
+// Pprof mounts net/http/pprof under /debug/pprof/ in front of next (opt-in:
+// profiling endpoints are not for every deployment).
+func Pprof(next http.Handler) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/", next)
+	return mux
 }
 
 // instrument is the observability middleware: trace ID assignment
@@ -206,7 +241,7 @@ func (s *Surface) Handler(mux *http.ServeMux) http.Handler {
 // and one structured log line per request.
 func (s *Surface) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		reg, lg := s.Metrics(), s.Logger()
+		m, lg := s.Metrics(), s.Logger()
 		trace := r.Header.Get("X-Trace-Id")
 		if trace == "" {
 			trace = s.Traces.Next()
@@ -214,18 +249,18 @@ func (s *Surface) instrument(next http.Handler) http.Handler {
 		w.Header().Set("X-Trace-Id", trace)
 		r = r.WithContext(context.WithValue(r.Context(), traceKey{}, trace))
 
-		sp := reg.StartSpan("http_request_seconds")
+		sp := m.seconds.Start()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(sw, r)
 		d := sp.End()
 
-		reg.Counter("http_requests_total").Inc()
-		reg.Counter(responseClass(sw.status)).Inc()
+		m.requests.Inc()
+		m.classes[min(uint(sw.status/100), 6)].Inc()
 		switch {
 		case sw.status >= 500:
-			reg.Counter("http_5xx_total").Inc()
+			m.r5xx.Inc()
 		case sw.status >= 400:
-			reg.Counter("http_4xx_total").Inc()
+			m.r4xx.Inc()
 		}
 		lg.Info("http request", "tier", s.Tier,
 			"method", r.Method, "path", r.URL.Path, "status", sw.status,
@@ -330,7 +365,7 @@ func (s *Surface) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 // exactly like the buffered path; once frames flow, a failure can only
 // cut the stream. The admission ticket is released after the last flush.
 func (s *Surface) streamBatch(w http.ResponseWriter, r *http.Request, req BatchRequest, k int, degraded bool) {
-	reg := s.Metrics()
+	m := s.Metrics()
 	sw := newStreamWriter(w, r)
 	ctx := r.Context()
 	results := 0
@@ -348,12 +383,12 @@ func (s *Surface) streamBatch(w http.ResponseWriter, r *http.Request, req BatchR
 	}
 	switch {
 	case err == nil:
-		reg.Counter(s.streamRanks).Inc()
+		m.streamRanks.Inc()
 	case !sw.started:
 		WriteErr(w, StatusFor(err), err)
 	default:
 		// Mid-stream cut: the client is gone (context canceled or a write
 		// failed). There is no one left to tell.
-		reg.Counter(s.streamAborts).Inc()
+		m.streamAborts.Inc()
 	}
 }

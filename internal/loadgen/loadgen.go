@@ -2,8 +2,10 @@
 // selection-serving surface (DESIGN.md §14): it replays a seeded Zipf
 // query workload against a running selectd (single process or cluster
 // front) over real HTTP, in closed- or open-loop mode, and reports
-// client-side QPS and exact latency quantiles in a JSON report the
-// benchdiff gate can diff run-over-run.
+// client-side QPS and latency quantiles in a JSON report the benchdiff
+// gate can diff run-over-run. The quantiles come from telemetry.Histogram,
+// the estimator the servers' own latency metrics use, so each is within
+// one bucket width (10%) of the exact sample value.
 //
 // The workload is a pure function of (Seed, Requests, Batch, Terms,
 // Vocab): request g's queries are drawn from randx fork g+1, so two runs
@@ -18,10 +20,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/url"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -300,8 +300,7 @@ func Run(cfg Config) (*Report, error) {
 	if perReq <= 1 {
 		perReq = 1
 	}
-	ok := make([]float64, 0, cfg.Requests)
-	okTTFR := make([]float64, 0, cfg.Requests)
+	var lat, ttfr telemetry.Histogram
 	for g := 0; g < cfg.Requests; g++ {
 		switch {
 		case errs[g] != nil:
@@ -318,26 +317,24 @@ func Run(cfg Config) (*Report, error) {
 			}
 		default:
 			rep.Queries += perReq
-			ok = append(ok, latencies[g])
-			okTTFR = append(okTTFR, ttfrs[g])
+			lat.Observe(latencies[g])
+			ttfr.Observe(ttfrs[g])
 		}
 	}
 	if elapsed > 0 {
 		rep.QPS = float64(rep.Queries) / elapsed
 	}
-	sort.Float64s(ok)
-	rep.P50us = quantileUS(ok, 0.50)
-	rep.P95us = quantileUS(ok, 0.95)
-	rep.P99us = quantileUS(ok, 0.99)
+	rep.P50us = lat.Quantile(0.50) * 1e6
+	rep.P95us = lat.Quantile(0.95) * 1e6
+	rep.P99us = lat.Quantile(0.99) * 1e6
 	rep.Metrics = map[string]Metric{
 		"loadgen/" + cfg.Label + "/qps":    {Value: rep.QPS, Unit: "qps", HigherIsBetter: true},
 		"loadgen/" + cfg.Label + "/p99_us": {Value: rep.P99us, Unit: "us"},
 	}
 	if cfg.Stream {
-		sort.Float64s(okTTFR)
-		rep.TTFRP50us = quantileUS(okTTFR, 0.50)
-		rep.TTFRP95us = quantileUS(okTTFR, 0.95)
-		rep.TTFRP99us = quantileUS(okTTFR, 0.99)
+		rep.TTFRP50us = ttfr.Quantile(0.50) * 1e6
+		rep.TTFRP95us = ttfr.Quantile(0.95) * 1e6
+		rep.TTFRP99us = ttfr.Quantile(0.99) * 1e6
 		rep.Metrics["loadgen/"+cfg.Label+"/ttfr_us"] = Metric{Value: rep.TTFRP99us, Unit: "us"}
 	}
 	rep.Server = scrape(client, cfg.Target)
@@ -469,21 +466,4 @@ func scrape(client *http.Client, target string) json.RawMessage {
 		return nil
 	}
 	return raw
-}
-
-// quantileUS is the exact nearest-rank quantile of a sorted sample, in
-// microseconds — the same estimator telemetry.Window uses, so client- and
-// server-side percentiles are comparable.
-func quantileUS(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank] * 1e6
 }

@@ -34,6 +34,7 @@ import (
 	"log/slog"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -125,12 +126,45 @@ type Server struct {
 	db core.Database
 	ln net.Listener
 
-	mu      sync.Mutex
-	closed  bool
-	conns   map[net.Conn]struct{}
-	wg      sync.WaitGroup
-	logger  *slog.Logger
-	metrics *telemetry.Registry
+	mu     sync.Mutex
+	closed bool
+	conns  map[net.Conn]struct{}
+	wg     sync.WaitGroup
+
+	// obs is swapped whole by SetLogger/SetMetrics: one load per request.
+	obs atomic.Pointer[serverObservers]
+}
+
+// serverObservers are a server's logger (nil: none) and instruments.
+type serverObservers struct {
+	logger   *slog.Logger
+	reg      *telemetry.Registry
+	requests [len(ops) + 1]*telemetry.Counter // by opIndex
+	errors   *telemetry.Counter
+}
+
+// ops are the wire operations, the closed set of op labels (a new op must
+// be listed); anything else a peer sends is labelled "other", so it cannot
+// mint unbounded metric-label cardinality.
+var ops = [...]string{"search", "fetch", "count", "rankstream", "register", "unregister"}
+
+// opIndex returns op's index in ops, or len(ops) for an unknown op.
+func opIndex(op string) int {
+	for i, known := range ops {
+		if op == known {
+			return i
+		}
+	}
+	return len(ops)
+}
+
+func newServerObservers(lg *slog.Logger, reg *telemetry.Registry) *serverObservers {
+	b := reg.Bind()
+	o := &serverObservers{logger: lg, reg: reg, errors: b.Counter("netsearch_server_errors_total")}
+	for i, op := range append(ops[:], "other") {
+		o.requests[i] = b.Counter(`netsearch_server_requests_total{op="` + op + `"}`)
+	}
+	return o
 }
 
 // Serve starts a server on addr (use "127.0.0.1:0" to pick a free port)
@@ -141,6 +175,7 @@ func Serve(db core.Database, addr string) (*Server, error) {
 		return nil, fmt.Errorf("netsearch: listen: %w", err)
 	}
 	s := &Server{db: db, ln: ln, conns: make(map[net.Conn]struct{})}
+	s.obs.Store(newServerObservers(nil, nil))
 	s.wg.Add(1)
 	//lint:ignore baregoroutine accept loop lives for the server, not a bounded fan-out; Close joins it via wg
 	go s.acceptLoop()
@@ -156,7 +191,7 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 func (s *Server) SetLogger(lg *slog.Logger) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.logger = lg
+	s.obs.Store(newServerObservers(lg, s.obs.Load().reg))
 }
 
 // SetMetrics installs a telemetry registry; the server counts requests
@@ -165,14 +200,7 @@ func (s *Server) SetLogger(lg *slog.Logger) {
 func (s *Server) SetMetrics(reg *telemetry.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.metrics = reg
-}
-
-// observers returns the current logger and registry under the lock.
-func (s *Server) observers() (*slog.Logger, *telemetry.Registry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.logger, s.metrics
+	s.obs.Store(newServerObservers(s.obs.Load().logger, reg))
 }
 
 // Close stops accepting connections, closes existing ones, and waits for
@@ -242,31 +270,28 @@ func (s *Server) handle(conn net.Conn) {
 		if err := dec.Decode(&req); err != nil {
 			return // disconnect or garbage; drop the connection
 		}
+		obs := s.obs.Load()
+		obs.requests[opIndex(req.Op)].Inc()
 		if req.Op == "rankstream" {
 			// Multi-frame response: streamRank owns the encoder until its
 			// terminal frame, preserving the one-request/one-exchange shape
 			// the connection's framing depends on.
-			lg, reg := s.observers()
-			reg.Counter(`netsearch_server_requests_total{op="rankstream"}`).Inc()
-			if lg != nil {
-				lg.Debug("netsearch request",
+			if obs.logger != nil {
+				obs.logger.Debug("netsearch request",
 					"op", req.Op, telemetry.TraceKey, req.Trace)
 			}
-			if err := s.streamRank(req, enc, bw, reg); err != nil {
+			if err := s.streamRank(req, enc, bw, obs.errors); err != nil {
 				return // write failed; the frame stream is desynced
 			}
 			continue
 		}
 		resp := s.dispatch(req)
-		if lg, reg := s.observers(); lg != nil || reg != nil {
-			reg.Counter(`netsearch_server_requests_total{op="` + promSafe(req.Op) + `"}`).Inc()
-			if resp.Error != "" {
-				reg.Counter("netsearch_server_errors_total").Inc()
-			}
-			if lg != nil {
-				lg.Debug("netsearch request",
-					"op", req.Op, telemetry.TraceKey, req.Trace, "err", resp.Error)
-			}
+		if resp.Error != "" {
+			obs.errors.Inc()
+		}
+		if obs.logger != nil {
+			obs.logger.Debug("netsearch request",
+				"op", req.Op, telemetry.TraceKey, req.Trace, "err", resp.Error)
 		}
 		if err := enc.Encode(resp); err != nil {
 			return
@@ -277,17 +302,6 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// promSafe clamps an op string from the wire to the small closed set of
-// known operations, so a hostile peer cannot mint unbounded metric-label
-// cardinality.
-func promSafe(op string) string {
-	switch op {
-	case "search", "fetch", "count", "rankstream", "register", "unregister":
-		return op
-	}
-	return "other"
-}
-
 // streamRank serves one "rankstream" request as a frame sequence on enc.
 // Every item frame but the last is flushed as it is encoded, so the peer
 // sees each query's result the moment it is ranked; the last goes out in
@@ -295,7 +309,7 @@ func promSafe(op string) string {
 // write. A returned error is always a write failure: the caller must drop
 // the connection, because a half-written frame sequence cannot be
 // resumed. Whole-batch ranker errors become a terminal Error frame.
-func (s *Server) streamRank(req request, enc *json.Encoder, bw *bufio.Writer, reg *telemetry.Registry) error {
+func (s *Server) streamRank(req request, enc *json.Encoder, bw *bufio.Writer, errs *telemetry.Counter) error {
 	sent := 0
 	emit := func(i int, item RankedBatch) error {
 		if err := enc.Encode(response{Index: &i, Ranked: item.Ranked, ItemError: item.Error}); err != nil {
@@ -314,7 +328,7 @@ func (s *Server) streamRank(req request, enc *json.Encoder, bw *bufio.Writer, re
 	}
 	end := response{EOS: true}
 	if err != nil {
-		reg.Counter("netsearch_server_errors_total").Inc()
+		errs.Inc()
 		// If err was itself a write failure this one fails too and the
 		// caller drops the connection — exactly right either way.
 		end = response{Error: err.Error()}
@@ -417,6 +431,8 @@ type ClientStats struct {
 type Client struct {
 	addr string
 	opts Options
+	// opSeconds are the per-op latency histograms, by opIndex.
+	opSeconds [len(ops)]*telemetry.Histogram
 
 	mu     sync.Mutex
 	conn   net.Conn
@@ -442,6 +458,9 @@ func DialWith(addr string, opts Options) (*Client, error) {
 		addr: addr,
 		opts: opts,
 		rng:  randx.New(opts.Retry.withDefaults().Seed),
+	}
+	for i, op := range ops {
+		c.opSeconds[i] = opts.Metrics.Histogram(`netsearch_op_seconds{op="` + op + `"}`)
 	}
 	conn, err := c.dial()
 	if err != nil {
@@ -547,9 +566,16 @@ func (e emitError) Error() string { return e.err.Error() }
 func (e emitError) Unwrap() error { return e.err }
 
 func (c *Client) roundTrip(req request) (response, error) {
+	return c.exchange(req, c.do)
+}
+
+// exchange is every operation's prelude: time it per op, lock, refuse on
+// a closed client, fall back to the client-wide trace, then drive run (one
+// frame exchange or stream) through the retry loop.
+func (c *Client) exchange(req request, run func(req request) (response, error)) (response, error) {
 	// Per-op latency covers the whole operation as the caller sees it:
 	// lock wait, retries, backoff sleeps and redials included.
-	sp := c.opts.Metrics.StartSpan(`netsearch_op_seconds{op="` + req.Op + `"}`)
+	sp := c.opSeconds[opIndex(req.Op)].Start()
 	defer sp.End()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -561,8 +587,8 @@ func (c *Client) roundTrip(req request) (response, error) {
 	if req.Trace == "" {
 		req.Trace = c.trace
 	}
-	//lint:ignore lockheld c.mu is the wire-serialization mechanism (one frame exchange at a time per client); the whole retry loop — backoff sleeps, redials, exchanges — runs under it by design so frames never interleave (DESIGN.md §8)
-	return c.retryLoop(req, func() (response, error) { return c.do(req) })
+	//lint:ignore lockheld c.mu is the wire-serialization mechanism (one frame exchange at a time per client); the whole retry loop — backoff sleeps, redials, exchanges, and a stream end to end — runs under it by design so frames never interleave (DESIGN.md §8)
+	return c.retryLoop(req, func() (response, error) { return run(req) })
 }
 
 // retryLoop drives one operation through the redial-with-backoff policy.
@@ -705,18 +731,7 @@ func (c *Client) doStream(req request, emit func(i int, item RankedBatch) error)
 // ErrStreamCanceled.
 func (c *Client) RankDBsStream(queries []string, alg string, k int, trace string, emit func(i int, item RankedBatch) error) error {
 	req := request{Op: "rankstream", Queries: queries, Alg: alg, N: k, Trace: trace}
-	sp := c.opts.Metrics.StartSpan(`netsearch_op_seconds{op="rankstream"}`)
-	defer sp.End()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return fmt.Errorf("netsearch: rankstream %s: client is closed", c.addr)
-	}
-	if req.Trace == "" {
-		req.Trace = c.trace
-	}
-	//lint:ignore lockheld c.mu serializes whole exchanges; the stream (and any transport retry of it) holds the lock end to end or another op's frames would interleave into the item sequence
-	_, err := c.retryLoop(req, func() (response, error) {
+	_, err := c.exchange(req, func(req request) (response, error) {
 		return response{}, c.doStream(req, emit)
 	})
 	return err

@@ -46,9 +46,10 @@ func instrument[T, R any](fn func(i int, item T) (R, error)) func(i int, item T)
 	busy := reg.Gauge("parallel_busy_workers")
 	tasks := reg.Counter("parallel_tasks_total")
 	fails := reg.Counter("parallel_task_errors_total")
+	seconds := reg.Histogram("parallel_task_seconds")
 	return func(i int, item T) (R, error) {
 		busy.Add(1)
-		sp := reg.StartSpan("parallel_task_seconds")
+		sp := seconds.Start()
 		out, err := fn(i, item)
 		sp.End()
 		busy.Add(-1)

@@ -64,21 +64,22 @@ func (s *Service) RankBatch(queries []string, algName string, k int) ([]BatchIte
 // The emitted Ranked slice is the caller's to keep: it is a fresh copy,
 // never shared with the cache or other emits.
 func (s *Service) RankBatchStream(queries []string, algName string, k int, emit func(i int, item BatchItem) error) error {
-	reg := s.Metrics()
-	defer reg.Timer("service_rank_batch_seconds")()
+	m := s.inst.Load()
+	sp := m.batchSeconds.Start()
+	defer sp.End()
 
 	if len(queries) == 0 {
-		reg.Counter("service_select_errors_total").Inc()
+		m.selectErrors.Inc()
 		return httpapi.ErrEmptyBatch
 	}
 	alg, err := parseAlgorithm(algName)
 	if err != nil {
-		reg.Counter("service_select_errors_total").Inc()
+		m.selectErrors.Inc()
 		return err
 	}
 	snap := s.snapshot()
 	if snap.compiled.NumDBs() == 0 {
-		reg.Counter("service_select_errors_total").Inc()
+		m.selectErrors.Inc()
 		return ErrNoModels
 	}
 	algName = alg.Name()
@@ -95,7 +96,7 @@ func (s *Service) RankBatchStream(queries []string, algName string, k int, emit 
 	}
 	admit := len(queries) == 1
 	for i, q := range queries {
-		item, err := s.rankBatchItem(snap, alg, algName, scr, q, k, seen, admit)
+		item, err := s.rankBatchItem(m, snap, alg, algName, scr, q, k, seen, admit)
 		if err != nil {
 			item = BatchItem{Error: err.Error()}
 		}
@@ -103,8 +104,8 @@ func (s *Service) RankBatchStream(queries []string, algName string, k int, emit 
 			return err
 		}
 	}
-	reg.Counter("service_batch_ranks_total").Inc()
-	reg.Counter("service_batch_queries_total").Add(int64(len(queries)))
+	m.batchRanks.Inc()
+	m.batchQueries.Add(int64(len(queries)))
 	return nil
 }
 
@@ -112,14 +113,14 @@ func (s *Service) RankBatchStream(queries []string, algName string, k int, emit 
 // from seen, everything else goes through rankKeyed. A failed ranking (its
 // flight's leader panicked) stays out of seen, so a later duplicate
 // retries fresh instead of inheriting the failure.
-func (s *Service) rankBatchItem(snap *snapshotSet, alg selection.Algorithm, algName string, scr *rankScratch, query string, k int, seen map[string][]RankedDB, admit bool) (BatchItem, error) {
+func (s *Service) rankBatchItem(m *instruments, snap *snapshotSet, alg selection.Algorithm, algName string, scr *rankScratch, query string, k int, seen map[string][]RankedDB, admit bool) (BatchItem, error) {
 	terms, err := s.termKey(scr, query)
 	if err != nil {
 		return BatchItem{}, err
 	}
 	val, ok := seen[terms]
 	if ok {
-		s.Metrics().Counter(`service_rank_coalesced_total{scope="batch"}`).Inc()
+		m.coalescedBatch.Inc()
 	} else {
 		key := rankKey{query: terms, alg: algName, k: k, epoch: snap.epoch}
 		if val, _, err = s.rankKeyed(snap, alg, scr, key, admit); err != nil {

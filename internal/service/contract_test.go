@@ -6,10 +6,13 @@ package service_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -178,8 +181,10 @@ func TestHTTPContractAcrossTiers(t *testing.T) {
 			body: batchOf("data", "market"), status: http.StatusServiceUnavailable,
 			errBody: "service: no databases have learned models yet"},
 	}
+	ran := 0
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			ran++
 			if tc.shed {
 				defer holdSlots(t, tc.pair)()
 			}
@@ -206,6 +211,67 @@ func TestHTTPContractAcrossTiers(t *testing.T) {
 				t.Errorf("batch body %q lacks the per-item error", svc.body)
 			}
 		})
+	}
+	if ran == len(cases) {
+		checkMetricNames(t, warm, cold)
+	}
+}
+
+// checkMetricNames pins the metric names every tier exposes after the
+// contract workload: perfbench scrapes service_select_cache_* and
+// service_rank_coalesced_total{…}, and loadgen's CounterSum reads names
+// too, so binding instruments ahead of use must not add or drop one.
+// The service and front are scraped through their /metrics endpoints.
+func checkMetricNames(t *testing.T, pairs ...tierPair) {
+	t.Helper()
+	var got strings.Builder
+	for i, p := range pairs {
+		fmt.Fprintf(&got, "# pair %d service\n", i)
+		writeNames(&got, scrapeMetrics(t, p.svcURL))
+		fmt.Fprintf(&got, "# pair %d shard\n", i)
+		writeNames(&got, p.shardReg.Snapshot())
+		fmt.Fprintf(&got, "# pair %d front\n", i)
+		writeNames(&got, scrapeMetrics(t, p.frontURL))
+	}
+	want, err := os.ReadFile("testdata/contract_metric_names.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("exposed metric names changed:\n--- got ---\n%s--- want ---\n%s", got.String(), want)
+	}
+}
+
+func scrapeMetrics(t *testing.T, url string) telemetry.Snapshot {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap telemetry.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// writeNames lists a snapshot's metric names, sorted, one per line with
+// its kind.
+func writeNames(w io.Writer, snap telemetry.Snapshot) {
+	var names []string
+	for name := range snap.Counters {
+		names = append(names, "counter "+name)
+	}
+	for name := range snap.Gauges {
+		names = append(names, "gauge "+name)
+	}
+	for name := range snap.Histograms {
+		names = append(names, "histogram "+name)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		fmt.Fprintln(w, n)
 	}
 }
 

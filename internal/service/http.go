@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"repro/internal/httpapi"
-	"repro/internal/telemetry"
 )
 
 // HTTP API. The handler exposes the service's operations as JSON
@@ -42,26 +41,9 @@ func (s *Service) Handler() http.Handler {
 	})
 	mux.HandleFunc("/databases", s.handleDatabases)
 	mux.HandleFunc("/databases/", s.handleDatabase)
-	// The registry is resolved per request, so SetMetrics works whether
-	// it is called before or after Handler; without one, the endpoints
-	// answer 404.
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if reg := s.Metrics(); reg != nil {
-			telemetry.Handler(reg).ServeHTTP(w, r)
-			return
-		}
-		http.NotFound(w, r)
-	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		if reg := s.Metrics(); reg != nil {
-			telemetry.VarsHandler(reg).ServeHTTP(w, r)
-			return
-		}
-		http.NotFound(w, r)
-	})
 	surface := &httpapi.Surface{
 		Tier:    "service",
-		Metrics: s.Metrics,
+		Metrics: func() *httpapi.Metrics { return s.inst.Load().http },
 		Logger:  s.log,
 		Gate:    s.gate.Load,
 		Traces:  s.traces,

@@ -164,11 +164,11 @@ type Service struct {
 	analyzer analysis.Analyzer
 	st       *store.Store // optional persistence
 
-	// metrics and logger are no-op capable: a nil registry discards
-	// every observation and logger defaults to a discarding slog.
-	metrics *telemetry.Registry
-	logger  *slog.Logger
-	traces  *telemetry.TraceIDs
+	// Read per request without a lock: the instruments bound from the
+	// installed registry (discard ones without), and the logger.
+	inst   atomic.Pointer[instruments]
+	logger atomic.Pointer[slog.Logger]
+	traces *telemetry.TraceIDs
 
 	mu        sync.RWMutex
 	entries   map[string]*entry
@@ -231,21 +231,53 @@ func New(an analysis.Analyzer, st *store.Store) *Service {
 	s := &Service{
 		analyzer:  an,
 		st:        st,
-		logger:    telemetry.NopLogger(),
 		traces:    telemetry.NewTraceIDs("req"),
 		entries:   make(map[string]*entry),
 		vocabRefs: make(map[string]int32),
 		tripAfter: DefaultTripThreshold,
 	}
+	s.inst.Store(newInstruments(nil))
+	s.logger.Store(telemetry.NopLogger())
 	s.cache = rankcache.New[rankKey, []RankedDB](DefaultRankCacheSize, rankcache.Hooks{
-		Hit:  func() { s.Metrics().Counter("service_select_cache_hits_total").Inc() },
-		Miss: func() { s.Metrics().Counter("service_select_cache_misses_total").Inc() },
-		Join: func() { s.Metrics().Counter(`service_rank_coalesced_total{scope="flight"}`).Inc() },
+		Hit:  func() { s.inst.Load().cacheHits.Inc() },
+		Miss: func() { s.inst.Load().cacheMisses.Inc() },
+		Join: func() { s.inst.Load().coalescedFlight.Inc() },
 		// Tests assert the gauge returns to zero: a leaked flight would
 		// wedge every future identical query.
-		Flights: func(delta int) { s.Metrics().Gauge("service_rank_flights_inflight").Add(int64(delta)) },
+		Flights: func(delta int) { s.inst.Load().flights.Add(int64(delta)) },
 	})
 	return s
+}
+
+// instruments are the rank path's telemetry, bound per installed registry.
+type instruments struct {
+	reg                             *telemetry.Registry
+	http                            *httpapi.Metrics
+	selectSeconds, batchSeconds     *telemetry.Histogram
+	selects, selectErrors           *telemetry.Counter
+	cacheHits, cacheMisses          *telemetry.Counter
+	coalescedFlight, coalescedBatch *telemetry.Counter
+	batchRanks, batchQueries        *telemetry.Counter
+	flights                         *telemetry.Gauge
+}
+
+func newInstruments(reg *telemetry.Registry) *instruments {
+	b := reg.Bind()
+	return &instruments{
+		reg:             reg,
+		http:            httpapi.NewMetrics(reg, "service"),
+		selectSeconds:   reg.Histogram("service_select_seconds"),
+		batchSeconds:    reg.Histogram("service_rank_batch_seconds"),
+		selects:         b.Counter("service_selects_total"),
+		selectErrors:    b.Counter("service_select_errors_total"),
+		cacheHits:       b.Counter("service_select_cache_hits_total"),
+		cacheMisses:     b.Counter("service_select_cache_misses_total"),
+		coalescedFlight: b.Counter(`service_rank_coalesced_total{scope="flight"}`),
+		coalescedBatch:  b.Counter(`service_rank_coalesced_total{scope="batch"}`),
+		batchRanks:      b.Counter("service_batch_ranks_total"),
+		batchQueries:    b.Counter("service_batch_queries_total"),
+		flights:         b.Gauge("service_rank_flights_inflight"),
+	}
 }
 
 // SetRankCacheSize resizes the selection result cache (default
@@ -273,7 +305,7 @@ func (s *Service) SetAdmission(cfg admission.Config) {
 func (s *Service) SetMetrics(reg *telemetry.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.metrics = reg
+	s.inst.Store(newInstruments(reg))
 	if s.dialOpts.Metrics == nil || reg == nil {
 		s.dialOpts.Metrics = reg
 	}
@@ -288,25 +320,17 @@ func (s *Service) SetLogger(lg *slog.Logger) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.logger = lg
+	s.logger.Store(lg)
 	if s.dialOpts.Logger == nil {
 		s.dialOpts.Logger = lg
 	}
 }
 
 // Metrics returns the installed registry (nil when uninstrumented).
-func (s *Service) Metrics() *telemetry.Registry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.metrics
-}
+func (s *Service) Metrics() *telemetry.Registry { return s.inst.Load().reg }
 
 // log returns the current logger.
-func (s *Service) log() *slog.Logger {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.logger
-}
+func (s *Service) log() *slog.Logger { return s.logger.Load() }
 
 // SetDialOptions configures the fault tolerance (per-operation deadline,
 // retry/backoff policy) applied to connections dialed to remote databases
@@ -584,8 +608,8 @@ func (s *Service) recordFailure(e *entry, err error) {
 	e.stats.ConsecutiveFailures++
 	if s.tripAfter > 0 && e.stats.ConsecutiveFailures >= s.tripAfter {
 		if !e.stats.CircuitOpen {
-			s.metrics.Counter("service_breaker_trips_total").Inc()
-			s.logger.Warn("circuit breaker tripped",
+			s.Metrics().Counter("service_breaker_trips_total").Inc()
+			s.log().Warn("circuit breaker tripped",
 				"db", e.name, "consecutive_failures", e.stats.ConsecutiveFailures)
 		}
 		e.stats.CircuitOpen = true
@@ -795,10 +819,8 @@ type RankedDB = netsearch.RankedDB
 // Cardinality stays bounded because values come only from the registry's
 // (small, operator-controlled) set of database names.
 func dbLabel(name string) string {
-	return `db="` + labelEscaper.Replace(name) + `"`
+	return `db="` + telemetry.EscapeLabel(name) + `"`
 }
-
-var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // parseAlgorithm resolves an algorithm name to its selection.Algorithm.
 // "cori" (or "") selects CORI; "gloss-sum" and "gloss-ind" select the
@@ -877,13 +899,14 @@ func (s *Service) Rank(query string, algName string, k int) ([]RankedDB, error) 
 // header: "hit" (served from cache, including single-flight waits), "miss"
 // (computed and cached), or "bypass" (cache disabled or request invalid).
 func (s *Service) rankCached(query string, algName string, k int) (_ []RankedDB, cacheStatus string, _ error) {
-	reg := s.Metrics()
-	defer reg.Timer("service_select_seconds")()
+	m := s.inst.Load()
+	sp := m.selectSeconds.Start()
+	defer sp.End()
 	out, status, err := s.rank(query, algName, k)
 	if err != nil {
-		reg.Counter("service_select_errors_total").Inc()
+		m.selectErrors.Inc()
 	} else {
-		reg.Counter("service_selects_total").Inc()
+		m.selects.Inc()
 	}
 	return out, status, err
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/analysis"
@@ -125,6 +126,68 @@ func TestHTTPMetricsWithoutRegistryIs404(t *testing.T) {
 	resp, _ = get(t, ts.URL+"/debug/vars", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("/debug/vars without registry = %d, want 404", resp.StatusCode)
+	}
+}
+
+func TestSetMetricsSwapsWhileServing(t *testing.T) {
+	// The handler is built before any registry: each request records into
+	// the registry installed when it runs, and nil turns telemetry off.
+	svc := New(analysis.Database(), nil)
+	t.Cleanup(func() { svc.Close() })
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(ts.Close)
+	rank := func() {
+		if resp, _ := get(t, ts.URL+"/rank?q=data", nil); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("cold /rank = %d, want 503", resp.StatusCode)
+		}
+	}
+	requests := func(reg *telemetry.Registry) int64 { return reg.Counter("http_requests_total").Value() }
+
+	rank()
+	if resp, _ := get(t, ts.URL+"/metrics", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/metrics before SetMetrics = %d, want 404", resp.StatusCode)
+	}
+	a, b := telemetry.NewRegistry(), telemetry.NewRegistry()
+	svc.SetMetrics(a)
+	rank()
+	if resp, _ := get(t, ts.URL+"/metrics", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics after SetMetrics = %d, want 200", resp.StatusCode)
+	}
+	if got := a.Counter("service_select_errors_total").Value(); requests(a) != 2 || got != 1 {
+		t.Errorf("registry a: %d requests, %d select errors; want 2 and 1", requests(a), got)
+	}
+	svc.SetMetrics(b)
+	rank()
+	svc.SetMetrics(nil)
+	rank()
+	if resp, _ := get(t, ts.URL+"/metrics", nil); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/metrics after SetMetrics(nil) = %d, want 404", resp.StatusCode)
+	}
+	if requests(a) != 2 || requests(b) != 1 {
+		t.Errorf("requests a=%d b=%d, want 2 and 1", requests(a), requests(b))
+	}
+
+	// Swapping under concurrent requests: every request lands in at most
+	// one registry (the race detector checks the swap itself).
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		//lint:ignore baregoroutine bounded test fan-out joined via wg below
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				if resp, err := http.Get(ts.URL + "/rank?q=data"); err == nil {
+					resp.Body.Close()
+				}
+			}
+		}()
+	}
+	for i := 0; i < 30; i++ {
+		svc.SetMetrics([]*telemetry.Registry{a, b, nil}[i%3])
+	}
+	wg.Wait()
+	if got := requests(a) + requests(b) - 3; got > 40 {
+		t.Errorf("%d requests recorded, more than the 40 sent", got)
 	}
 }
 

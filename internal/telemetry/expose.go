@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -86,55 +87,36 @@ func joinLabels(labels, extra string) string {
 	return labels + "," + extra
 }
 
-// formatBound renders a bucket bound the way Prometheus expects in `le`.
-func formatBound(b float64) string {
-	return strconv.FormatFloat(b, 'g', -1, 64)
+// braced renders a label set as a metric-name suffix ("" when empty).
+func braced(labels string) string {
+	if labels == "" {
+		return ""
+	}
+	return "{" + labels + "}"
 }
 
 // WritePrometheus writes the registry in the Prometheus text exposition
-// format.
+// format. Output is buffered (a histogram is one line per bucket); a write
+// error stops it and is returned.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	bw := bufio.NewWriter(w)
 	for _, f := range families(r.Snapshot()) {
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.base, f.kind); err != nil {
-			return err
-		}
+		fmt.Fprintf(bw, "# TYPE %s %s\n", f.base, f.kind)
 		for _, e := range f.entries {
-			switch f.kind {
-			case "histogram":
-				cum := int64(0)
-				for i, bound := range e.hist.Bounds {
-					cum = e.hist.Cumulative[i]
-					le := joinLabels(e.labels, `le="`+formatBound(bound)+`"`)
-					if _, err := fmt.Fprintf(w, "%s_bucket{%s} %d\n", f.base, le, cum); err != nil {
-						return err
-					}
-				}
-				le := joinLabels(e.labels, `le="+Inf"`)
-				if _, err := fmt.Fprintf(w, "%s_bucket{%s} %d\n", f.base, le, e.hist.Count); err != nil {
-					return err
-				}
-				suffix := ""
-				if e.labels != "" {
-					suffix = "{" + e.labels + "}"
-				}
-				if _, err := fmt.Fprintf(w, "%s_sum%s %g\n", f.base, suffix, e.hist.Sum); err != nil {
-					return err
-				}
-				if _, err := fmt.Fprintf(w, "%s_count%s %d\n", f.base, suffix, e.hist.Count); err != nil {
-					return err
-				}
-			default:
-				name := f.base
-				if e.labels != "" {
-					name += "{" + e.labels + "}"
-				}
-				if _, err := fmt.Fprintf(w, "%s %d\n", name, e.value); err != nil {
-					return err
-				}
+			if f.kind != "histogram" {
+				fmt.Fprintf(bw, "%s%s %d\n", f.base, braced(e.labels), e.value)
+				continue
 			}
+			for i, bound := range e.hist.Bounds {
+				le := `le="` + strconv.FormatFloat(bound, 'g', -1, 64) + `"`
+				fmt.Fprintf(bw, "%s_bucket{%s} %d\n", f.base, joinLabels(e.labels, le), e.hist.Cumulative[i])
+			}
+			fmt.Fprintf(bw, "%s_bucket{%s} %d\n", f.base, joinLabels(e.labels, `le="+Inf"`), e.hist.Count)
+			fmt.Fprintf(bw, "%s_sum%s %g\n", f.base, braced(e.labels), e.hist.Sum)
+			fmt.Fprintf(bw, "%s_count%s %d\n", f.base, braced(e.labels), e.hist.Count)
 		}
 	}
-	return nil
+	return bw.Flush()
 }
 
 // ContentTypePrometheus is the content type of the text exposition format.

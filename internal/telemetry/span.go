@@ -7,61 +7,44 @@ import (
 	"time"
 )
 
-// Span measures one timed operation against the registry's clock. Start
-// one with StartSpan, finish it with End; the elapsed time lands in the
-// histogram named by the span. Spans are cheap value-carriers, not a
-// distributed-tracing system — the trace ID is for log correlation.
+// Span times one operation into a histogram against its registry's
+// clock: Histogram.Start, then End. A span is a plain value owned by the
+// goroutine that started it, so timing allocates nothing.
 type Span struct {
-	reg   *Registry
-	name  string
-	trace string
+	h     *Histogram
 	start time.Time
-	done  atomic.Bool
+	done  bool
 }
 
-// StartSpan begins a span whose duration will be observed into the
-// histogram named name when End is called. On a nil registry the span is
-// inert.
-func (r *Registry) StartSpan(name string) *Span {
-	return &Span{reg: r, name: name, start: r.now()}
-}
-
-// WithTrace attaches a trace ID for log correlation and returns the span.
-func (s *Span) WithTrace(id string) *Span {
-	if s != nil {
-		s.trace = id
+// Start begins a span whose duration End observes into h; inert outside
+// a registry (no clock).
+func (h *Histogram) Start() Span {
+	if h == nil {
+		return Span{}
 	}
-	return s
-}
-
-// Trace returns the span's trace ID ("" when unset).
-func (s *Span) Trace() string {
-	if s == nil {
-		return ""
-	}
-	return s.trace
+	return Span{h: h, start: h.reg.now()}
 }
 
 // End observes the span's elapsed time (per the registry clock) into its
-// histogram and returns the duration. Multiple Ends are idempotent: only
-// the first observes.
+// histogram and returns the duration. Only the first End observes.
 func (s *Span) End() time.Duration {
-	if s == nil || s.reg == nil {
+	if s.h == nil || s.h.reg == nil {
 		return 0
 	}
-	d := s.reg.now().Sub(s.start)
-	if s.done.CompareAndSwap(false, true) {
-		s.reg.Histogram(s.name).Observe(d.Seconds())
+	d := s.h.reg.now().Sub(s.start)
+	if !s.done {
+		s.done = true
+		s.h.Observe(d.Seconds())
 	}
 	return d
 }
 
 // Timer returns a stop function observing the elapsed time into the named
-// histogram — the one-line defer idiom:
+// histogram — the one-line defer idiom off the request path (it allocates):
 //
-//	defer reg.Timer("service_select_seconds")()
+//	defer reg.Timer("service_sample_seconds")()
 func (r *Registry) Timer(name string) func() time.Duration {
-	sp := r.StartSpan(name)
+	sp := r.Histogram(name).Start()
 	return sp.End
 }
 

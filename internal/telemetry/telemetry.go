@@ -11,7 +11,8 @@
 // mutex per observation. A nil *Registry is a valid no-op sink — every
 // accessor on it returns a shared inert instrument — so instrumented code
 // never needs nil checks and uninstrumented paths pay one predictable
-// branch.
+// branch. Request paths bind their instruments once (Bind) instead of
+// looking names up under the registry lock per request.
 //
 // Determinism contract: the wall clock enters only through the registry's
 // injectable clock (SetClock), so packages under the repolint `wallclock`
@@ -45,9 +46,23 @@ import (
 )
 
 // Counter is a monotonically increasing atomic counter.
-type Counter struct{ v atomic.Int64 }
+type Counter struct {
+	v atomic.Int64
+	shown
+}
+
+// shown exposes an instrument in snapshots even at zero; see Binder.
+type shown struct{ on atomic.Bool }
+
+func (s *shown) show() {
+	if !s.on.Load() {
+		s.on.Store(true)
+	}
+}
 
 // Inc adds 1.
+//
+//lint:hotpath
 func (c *Counter) Inc() {
 	if c != nil {
 		c.v.Add(1)
@@ -55,6 +70,8 @@ func (c *Counter) Inc() {
 }
 
 // Add adds n (negative n is ignored; counters only go up).
+//
+//lint:hotpath
 func (c *Counter) Add(n int64) {
 	if c != nil && n > 0 {
 		c.v.Add(n)
@@ -71,12 +88,16 @@ func (c *Counter) Value() int64 {
 
 // Gauge is an atomic instantaneous value (in-flight requests, pool
 // occupancy). Unlike a Counter it can go down.
-type Gauge struct{ v atomic.Int64 }
+type Gauge struct {
+	v atomic.Int64
+	shown
+}
 
 // Set replaces the value.
 func (g *Gauge) Set(n int64) {
 	if g != nil {
 		g.v.Store(n)
+		g.show()
 	}
 }
 
@@ -84,6 +105,7 @@ func (g *Gauge) Set(n int64) {
 func (g *Gauge) Add(n int64) {
 	if g != nil {
 		g.v.Add(n)
+		g.show()
 	}
 }
 
@@ -112,7 +134,7 @@ type Registry struct {
 var (
 	discardCounter Counter
 	discardGauge   Gauge
-	discardHist    = newHistogram(DefaultLatencyBuckets)
+	discardHist    Histogram
 )
 
 // NewRegistry returns an empty registry reading the real wall clock.
@@ -151,74 +173,68 @@ func (r *Registry) now() time.Time {
 // Counter returns the named counter, creating it on first use. Safe for
 // concurrent use; on a nil registry it returns a shared discard counter.
 func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return &discardCounter
-	}
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = new(Counter)
-		r.counters[name] = c
-	}
+	c := r.Bind().Counter(name)
+	c.show()
 	return c
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return &discardGauge
-	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = new(Gauge)
-		r.gauges[name] = g
-	}
+	g := r.Bind().Gauge(name)
+	g.show()
 	return g
 }
 
-// Histogram returns the named histogram with DefaultLatencyBuckets,
-// creating it on first use.
+// Histogram returns the named histogram, creating it on first use; it is
+// exposed once it holds an observation, so binding one early is just this
+// lookup.
 func (r *Registry) Histogram(name string) *Histogram {
-	return r.HistogramBuckets(name, nil)
+	if r == nil {
+		return &discardHist
+	}
+	return lookup(r, r.hists, name, func() *Histogram { return &Histogram{reg: r} })
 }
 
-// HistogramBuckets returns the named histogram, creating it with the
-// given bucket upper bounds on first use (nil means
-// DefaultLatencyBuckets). Buckets are fixed at creation; later calls
-// return the existing histogram regardless of the bounds argument.
-func (r *Registry) HistogramBuckets(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return discardHist
+// Binder resolves a request path's counters and gauges ahead of use. One
+// it creates stays out of snapshots until first recorded into (or
+// looked up by name), so binding early exposes exactly the names looking
+// each up at first use would.
+type Binder struct{ r *Registry }
+
+// Bind returns a Binder over r (the discard instruments when r is nil).
+func (r *Registry) Bind() Binder { return Binder{r} }
+
+// Counter returns the named counter, creating it unexposed.
+func (b Binder) Counter(name string) *Counter {
+	if b.r == nil {
+		return &discardCounter
 	}
+	return lookup(b.r, b.r.counters, name, func() *Counter { return new(Counter) })
+}
+
+// Gauge returns the named gauge, creating it unexposed.
+func (b Binder) Gauge(name string) *Gauge {
+	if b.r == nil {
+		return &discardGauge
+	}
+	return lookup(b.r, b.r.gauges, name, func() *Gauge { return new(Gauge) })
+}
+
+// lookup returns m[name], creating it with mk on first use.
+func lookup[T any](r *Registry, m map[string]*T, name string, mk func() *T) *T {
 	r.mu.RLock()
-	h := r.hists[name]
+	v := m[name]
 	r.mu.RUnlock()
-	if h != nil {
-		return h
+	if v != nil {
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		if bounds == nil {
-			bounds = DefaultLatencyBuckets
-		}
-		h = newHistogram(bounds)
-		r.hists[name] = h
+	if v = m[name]; v == nil {
+		v = mk()
+		m[name] = v
 	}
-	return h
+	return v
 }
 
 // Snapshot is a point-in-time copy of a registry's metrics, with all maps
@@ -244,13 +260,19 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for name, c := range r.counters {
-		snap.Counters[name] = c.Value()
+		if v := c.Value(); v != 0 || c.on.Load() {
+			snap.Counters[name] = v
+		}
 	}
 	for name, g := range r.gauges {
-		snap.Gauges[name] = g.Value()
+		if g.on.Load() {
+			snap.Gauges[name] = g.Value()
+		}
 	}
 	for name, h := range r.hists {
-		snap.Histograms[name] = h.Snapshot()
+		if hs := h.Snapshot(); hs.Count != 0 {
+			snap.Histograms[name] = hs
+		}
 	}
 	return snap
 }
@@ -268,6 +290,12 @@ func (s Snapshot) CounterSum(substr string) int64 {
 	}
 	return total
 }
+
+// EscapeLabel escapes the three characters the text format reserves in a
+// label value.
+func EscapeLabel(v string) string { return labelEscaper.Replace(v) }
+
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // names returns the sorted metric names of one kind — the iteration order
 // for every exposition writer.
